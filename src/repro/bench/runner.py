@@ -277,11 +277,21 @@ def run_many(
             active: "dict[Future, tuple[int, float | None]]" = {}
 
             def _submit_next() -> None:
+                nonlocal broken
+                if broken is not None:
+                    return
                 index = next(backlog, None)
                 if index is None:
                     return
                 deadline = time.monotonic() + timeout if timeout > 0 else None
-                active[pool.submit(worker, specs[index])] = (index, deadline)
+                try:
+                    future = pool.submit(worker, specs[index])
+                except BrokenProcessPool as exc:
+                    # A worker died since the last wait: stop submitting;
+                    # this spec rides the retry with the unfinished ones.
+                    broken = exc
+                    return
+                active[future] = (index, deadline)
 
             for _ in range(min(jobs, len(pending))):
                 _submit_next()

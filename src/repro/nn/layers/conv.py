@@ -62,9 +62,12 @@ class Conv2D(Layer):
         kh, kw = self.kernel_size
         sh, sw = self.stride
         if self.padding == "same":
-            ph = _pad_amounts(height, kh, sh)
-            pw = _pad_amounts(width, kw, sw)
-            x = np.pad(x, ((0, 0), (0, 0), ph, pw))
+            top, bottom = _pad_amounts(height, kh, sh)
+            left, right = _pad_amounts(width, kw, sw)
+            shape = (n, channels, top + height + bottom, left + width + right)
+            padded = np.zeros(shape, dtype=np.float32)
+            padded[:, :, top : top + height, left : left + width] = x
+            x = padded
         cols = _im2col(x, kh, kw, sh, sw)  # (N, C*kh*kw, out_h*out_w)
         weight = self.params["weight"].reshape(self.filters, -1)
         out = weight @ cols + self.params["bias"][:, None]

@@ -2,12 +2,13 @@
 
 The offload engine converts each tick's LOB snapshot into a feature
 vector (market-protocol integers → BF16), Z-score-normalises it against
-statistics fitted on historical data, stacks the most recent ``window``
-vectors in a FIFO to form the model's 2-D input feature map, and queues
-the resulting query for the DNN pipeline.  It also owns stale-query
-management: queries whose deadline has passed are dropped before wasting
-accelerator time, and the oldest query is evicted when the scheduler
-finds no feasible offloading option (Algorithm 1's fallback).
+statistics fitted on historical data, keeps the last ``window`` vectors
+in a ring buffer from which each query copies the model's 2-D input
+feature map, and queues the resulting query for the DNN pipeline.  It
+also owns stale-query management: queries whose deadline has passed are
+dropped before wasting accelerator time, and the oldest query is evicted
+when the scheduler finds no feasible offloading option (Algorithm 1's
+fallback).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Query:
 
 
 class OffloadEngine:
-    """FIFO feature stacking plus the pending-query queue."""
+    """Sliding feature window plus the pending-query queue."""
 
     def __init__(
         self,
@@ -96,7 +97,12 @@ class OffloadEngine:
         self.window = window
         self.max_pending = max_pending
         self.store_tensors = store_tensors
-        self._fifo: deque[np.ndarray] = deque(maxlen=window)
+        # 2 * window rows, allocated on the first vector.  Each vector is
+        # written at _head and _head + window, so the last ``window``
+        # vectors are always ring[_head : _head + window], oldest first.
+        self._ring: np.ndarray | None = None
+        self._head = 0  # next write row, which holds the oldest vector
+        self._filled = 0  # vectors taken so far, saturating at ``window``
         self._pending: deque[Query] = deque()
         # Lower bound on min(q.deadline for q in _pending); lets drop_stale
         # skip its scan while now < bound (removals only raise the true
@@ -122,28 +128,31 @@ class OffloadEngine:
         """Ingest one tick; returns the queued Query or None during warm-up.
 
         During the first ``window - 1`` ticks there is not yet a full
-        input feature map, so no query is generated (the FIFO warms up).
+        input feature map, so no query is generated (the window warms up).
         """
+        window = self.window
         if self.store_tensors:
             vector = snapshot.feature_vector()
             if not np.isfinite(vector).all():
                 # A corrupt (NaN/Inf) vector would otherwise quantise
-                # silently into the FIFO and contaminate the next
-                # ``window`` stacked tensors; reject the tick instead.
+                # silently into the window and contaminate the next
+                # ``window`` tensors; reject the tick instead.
                 self.rejected_corrupt += 1
                 return None
             if self.stats is not None:
                 vector = self.stats.apply(vector)
-            self._fifo.append(vector)
-            if len(self._fifo) < self.window:
-                return None
-            tensor = np.stack(self._fifo)
-        else:
-            # Timing-only mode: track warm-up without materialising data.
-            self._fifo.append(np.empty(0))
-            if len(self._fifo) < self.window:
-                return None
-            tensor = None
+            if self._ring is None:
+                self._ring = np.empty((2 * window, *vector.shape), dtype=vector.dtype)
+            head = self._head
+            self._ring[head] = self._ring[head + window] = vector
+            self._head = (head + 1) % window
+        self._filled = min(self._filled + 1, window)
+        if self._filled < window:
+            return None
+        tensor = None  # timing-only mode materialises no data
+        if self.store_tensors:
+            # A copy, so later ticks never rewrite a queued query's input.
+            tensor = self._ring[self._head : self._head + window].copy()
 
         query = Query(
             query_id=self._next_id,

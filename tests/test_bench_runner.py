@@ -234,6 +234,54 @@ def test_retry_sleeps_with_backoff_between_pool_rebuilds(tmp_path, monkeypatch):
     assert slept == [_backoff_s(1)]
 
 
+@pytest.mark.parametrize("retries", [0, 1])
+def test_pool_broken_at_submit_is_contained(monkeypatch, retries):
+    """A worker dying between a finished result and the next submit makes
+    ``submit`` itself raise; that must retry or fail the unsubmitted
+    specs, never escape.  The fake pool runs work inline and breaks on
+    the third submit: the first two specs finish, the third and fourth
+    are left over for the retry."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.bench.runner as runner_module
+    from repro.bench.runner import RunFailure, _backoff_s
+
+    submits = []
+
+    class FlakyPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            submits.append(args)
+            if len(submits) == 3:
+                raise BrokenProcessPool("a worker died before this submit")
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    slept = []
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", FlakyPool)
+    monkeypatch.setattr(runner_module.time, "sleep", slept.append)
+    specs = [_TinySpec(name) for name in "abcd"]
+    results = run_many(specs, jobs=2, retries=retries, worker=_tiny_worker)
+    assert results[:2] == [("ran", "a"), ("ran", "b")]
+    if retries:
+        assert results[2:] == [("ran", "c"), ("ran", "d")]
+        assert slept == [_backoff_s(1)]
+    else:
+        assert [type(r) for r in results[2:]] == [RunFailure, RunFailure]
+        assert [r.spec_index for r in results[2:]] == [2, 3]
+        assert len(submits) == 3  # nothing submitted after the pool broke
+
+
 def test_workload_spec_traffic_override():
     from repro.sim.workload import Regime, TrafficSpec
 

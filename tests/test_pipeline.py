@@ -1,5 +1,7 @@
 """Tests for offload engine, trading engine, DMA, stages and feed handler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,36 @@ class TestOffloadEngine:
             engine.on_tick(snapshot(i), i, 100 + i)
         assert engine.pending_deadlines(2) == [100, 101]
         assert engine.pending_deadlines(10) == [100, 101, 102, 103]
+
+    @pytest.mark.parametrize("window", [1, 3, 100])
+    def test_window_is_the_stack_of_the_last_accepted_vectors(self, window):
+        """Each query's tensor is, bit for bit, ``np.stack`` of the last
+        ``window`` normalised vectors; a corrupt tick mid-stream never
+        enters a window; later ticks never rewrite an earlier tensor."""
+        tape = generate_session(duration_s=3.0, seed=3)
+        stats = NormalizationStats.fit(tape)
+        engine = OffloadEngine(stats=stats, window=window, store_tensors=True)
+        corrupt_at = window + 1  # after the window has filled once
+        accepted, issued = [], []
+        for i, tick in enumerate(tape[: 3 * window + 2]):
+            snap = tick.snapshot
+            if i == corrupt_at:
+                nan_bid = ((float("nan"), 5), *snap.bids[1:])
+                bad = dataclasses.replace(snap, bids=nan_bid)
+                assert engine.on_tick(bad, i, i) is None
+                continue
+            query = engine.on_tick(snap, i, i)
+            accepted.append(stats.apply(snap.feature_vector()))
+            if len(accepted) < window:
+                assert query is None
+                continue
+            want = np.stack(accepted[-window:]).view(np.uint32)
+            np.testing.assert_array_equal(query.tensor.view(np.uint32), want)
+            issued.append((query, want))
+        assert engine.rejected_corrupt == 1
+        assert len(issued) == 2 * window + 2
+        for query, want in issued:  # no query holds a view of the window
+            np.testing.assert_array_equal(query.tensor.view(np.uint32), want)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(SchedulingError):
@@ -418,7 +450,11 @@ class TestCorruptVectorRejection:
         )
         assert engine.on_tick(bad, 0, 1_000) is None
         assert engine.rejected_corrupt == 1
-        assert len(engine._fifo) == 0  # nothing contaminated the FIFO
+        # The rejected tick took no window slot: the next ``window``
+        # finite ticks warm up afresh and yield one clean query.
+        first, second = (engine.on_tick(snapshot(ts=i), i, 1_000 + i) for i in (1, 2))
+        assert first is None
+        assert np.isfinite(second.tensor).all()
 
     def test_finite_vectors_unaffected(self):
         engine = OffloadEngine(window=2, store_tensors=True)
