@@ -49,6 +49,12 @@ class Accelerator:
         self.table = table
         self.power_model = power_model
         self.point = initial_point or table.min_point
+        # Idle (leakage) draw of the point object in ``_idle_point``.  It
+        # is refreshed whenever ``point`` holds another object, which also
+        # covers direct boot-time assignment; points are frozen, so the
+        # cached float is the one idle_power_w would return.
+        self._idle_point: OperatingPoint | None = None
+        self._idle_w = 0.0
         self.busy_until = 0
         self.available_at = 0  # includes any in-flight DVFS switch
         self.current: IssueRecord | None = None
@@ -210,42 +216,39 @@ class Accelerator:
         return record
 
     def rescale_inflight(
-        self, now: int, point: OperatingPoint, new_remaining_ns: int
+        self,
+        now: int,
+        point: OperatingPoint,
+        new_remaining_ns: int,
+        power_w: float | None = None,
     ) -> IssueRecord:
         """Apply a DVFS change to the batch currently in flight.
 
         The DVFS scheduler (Algorithm 2) may speed up or slow down a busy
         accelerator; the caller computes the remaining work's duration at
-        the new point, and the switch delay is charged on top.  Returns
-        the updated in-flight record.
+        the new point, and the switch delay is charged on top.  A caller
+        that already holds the batch's draw at ``point`` passes it as
+        ``power_w``.  The in-flight record is updated in place and
+        returned.
         """
-        if self.current is None or self.is_idle(now):
+        record = self.current
+        if record is None or self.is_idle(now):
             raise AcceleratorError(f"accel {self.accel_id}: no batch in flight")
         if new_remaining_ns < 0:
             raise AcceleratorError("remaining time cannot be negative")
-        switch = DVFS_SWITCH_NS if point != self.point else 0
+        old = self.point
+        switch = DVFS_SWITCH_NS if point != old else 0
         if switch:
             self.transitions += 1
         if switch and self.on_transition is not None:
-            reason = (
-                "inflight_boost" if point.freq_hz > self.point.freq_hz
-                else "inflight_save"
-            )
-            self.on_transition(now, self.accel_id, self.point, point, reason)
+            reason = "inflight_boost" if point.freq_hz > old.freq_hz else "inflight_save"
+            self.on_transition(now, self.accel_id, old, point, reason)
+        if power_w is None:
+            power_w = self.power_model.power_w(point, record.activity, record.batch_size)
         self.point = point
-        record = self.current
-        record = IssueRecord(
-            accel_id=record.accel_id,
-            issue_time=record.issue_time,
-            completion_time=now + switch + new_remaining_ns,
-            batch_size=record.batch_size,
-            point=point,
-            activity=record.activity,
-            power_w=self.power_model.power_w(point, record.activity, record.batch_size),
-            deadline_ns=record.deadline_ns,
-        )
-        self.current = record
-        self.busy_until = record.completion_time
+        record.point = point
+        record.power_w = power_w
+        record.completion_time = self.busy_until = now + switch + new_remaining_ns
         self.state_version += 1
         return record
 
@@ -270,7 +273,17 @@ class Accelerator:
             return 0.0
         if self.current is not None and now < self.current.completion_time:
             return self.current.power_w
-        return self.power_model.idle_power_w(self.point)
+        if self.point is self._idle_point:
+            return self._idle_w
+        return self.idle_w()
+
+    def idle_w(self) -> float:
+        """Leakage-only draw at the current point (cached per point)."""
+        point = self.point
+        if point is not self._idle_point:
+            self._idle_point = point
+            self._idle_w = self.power_model.idle_power_w(point)
+        return self._idle_w
 
 
 def fastest_capped(table: DVFSTable, cap_hz: float) -> OperatingPoint:
@@ -321,14 +334,6 @@ class AcceleratorCluster:
         """Devices currently admitted to scheduling."""
         return sum(1 for d in self.devices if d.healthy)
 
-    def healthy_devices(self) -> list[Accelerator]:
-        """Devices not in quarantine."""
-        return [d for d in self.devices if d.healthy]
-
-    def failed_devices(self) -> list[Accelerator]:
-        """Devices currently quarantined by a hard fault."""
-        return [d for d in self.devices if not d.healthy]
-
     def idle_devices(self, now: int) -> list[Accelerator]:
         """Healthy devices able to accept a new batch at ``now``."""
         return [d for d in self.devices if d.healthy and d.ready_time(now) <= now]
@@ -354,16 +359,12 @@ class AcceleratorCluster:
             current = device.current
             if current is not None and now < current.completion_time:
                 total += current.power_w
+            elif device.point is device._idle_point:
+                total += device._idle_w
             else:
-                total += device.power_model.idle_power_w(device.point)
+                total += device.idle_w()
         return total
 
     def headroom(self, now: int) -> float:
         """Unused budget at ``now`` (never negative by scheduler contract)."""
         return self.budget_w - self.total_power(now)
-
-    def set_all_points(self, point: OperatingPoint, now: int) -> None:
-        """Program every healthy idle device to ``point`` (others skipped)."""
-        for device in self.devices:
-            if device.healthy and device.is_idle(now):
-                device.set_point(point, now)

@@ -1,11 +1,11 @@
-"""DVFS scheduling — Algorithm 2 of the paper plus the power-saving step.
+"""DVFS scheduling — Algorithm 2 of the paper plus power reclaim.
 
 The DVFS scheduler manages the card's shared power budget in two phases:
 
-1. **Save power** (before workload scheduling): busy accelerators are
-   scaled down as far as their in-flight batch's deadline allows — with a
-   slack margin, and only when no backlog is waiting (stretching batches
-   under queue pressure would trade throughput for nothing).
+1. **Reclaim** (on demand, before an issue): when a new batch needs more
+   headroom than the rail has left, busy accelerators are slowed, most
+   boosted first, as far as their in-flight batch's deadline allows
+   (with a slack margin) until the headroom exists.
 2. **Redistribute** (after workload scheduling): leftover budget is
    handed out greedily — each round, evaluate re-pointing every busy
    accelerator to any faster operating point (one PMIC transition reaches
@@ -23,13 +23,13 @@ from typing import TYPE_CHECKING
 from repro.accelerator.device import DVFS_SWITCH_NS, Accelerator, AcceleratorCluster
 from repro.accelerator.power import DVFSTable, OperatingPoint
 from repro.baselines.profiles import LightTraderProfile
-from repro.core.ppw import ppw_increase
+from repro.core.ppw import ppw
 
 if TYPE_CHECKING:
     from repro.telemetry.decisions import DecisionLog
 
-# Fraction of a batch's remaining deadline slack the power-save step may
-# consume by slowing the clock; the rest stays as safety margin.
+# Fraction of a batch's remaining deadline slack a reclaim may consume by
+# slowing the clock; the rest stays as safety margin.
 SAVE_SLACK_FRACTION = 0.6
 
 
@@ -60,9 +60,9 @@ class DVFSScheduler:
         init=False, repr=False, compare=False, default_factory=dict
     )
     # Observability: lifetime counts folded into the run's MetricRegistry.
-    # reclaims / boost_transitions / save_transitions are parity-held
-    # (both event pumps drive them identically); redistribute_calls is an
-    # ``impl.`` diagnostic (the fast pump gates redistribution by epoch).
+    # reclaims / boost_transitions are parity-held (both event pumps
+    # drive them identically); redistribute_calls is an ``impl.``
+    # diagnostic (the fast pump gates redistribution by epoch).
     stats: dict[str, int] = field(
         compare=False,
         repr=False,
@@ -70,7 +70,6 @@ class DVFSScheduler:
             "reclaims": 0,
             "redistribute_calls": 0,
             "boost_transitions": 0,
-            "save_transitions": 0,
         },
     )
 
@@ -91,27 +90,7 @@ class DVFSScheduler:
         object.__setattr__(self, "_boost_floor_ns", floors)
         object.__setattr__(self, "_faster", faster)
 
-    # -- phase 1: save power --------------------------------------------------
-
-    def save_power(
-        self, cluster: AcceleratorCluster, now: int, queue_pressure: bool = False
-    ) -> int:
-        """Scale busy accelerators down within their deadline slack.
-
-        Skipped entirely under ``queue_pressure`` — with a backlog
-        waiting, stretching in-flight batches costs throughput exactly
-        when it hurts most.  Idle devices are left alone; their operating
-        point is chosen at the next issue.  Returns transitions applied.
-        """
-        if queue_pressure:
-            return 0
-        transitions = 0
-        for device in cluster.busy_devices(now):
-            transitions += self._scale_down_busy(device, now)
-        self.stats["save_transitions"] += transitions
-        if transitions and self.log is not None:
-            self.log.record_save_power(now, transitions)
-        return transitions
+    # -- phase 1: reclaim -------------------------------------------------------
 
     def _scale_down_busy(self, device: Accelerator, now: int) -> int:
         record = device.current
@@ -215,8 +194,8 @@ class DVFSScheduler:
                         now, transitions, cluster.headroom(now)
                     )
                 return transitions
-            device, point, remaining, __ = best
-            device.rescale_inflight(now, point, remaining)
+            device, point, remaining, power = best
+            device.rescale_inflight(now, point, remaining, power)
             adjusted.add(device.accel_id)
             transitions += 1
 
@@ -240,25 +219,33 @@ class DVFSScheduler:
         if faster is None:  # off-table point: fall back to a full filter
             faster = tuple(p for p in self.table if p.freq_hz > freq)
         cache = self._power_cache
+        activity = record.activity
+        batch = record.batch_size
+        old_power = record.power_w
+        old_total = record.completion_time - record.issue_time
+        old_ppw = None
         for point in faster:
             if device.cap_hz is not None and point.freq_hz > device.cap_hz + 1e-3:
                 break  # thermally throttled: nothing faster is programmable
             new_remaining = round(remaining * freq / point.freq_hz)
             if DVFS_SWITCH_NS + new_remaining >= remaining:
                 continue  # the switch delay would eat the gain
-            key = (point.freq_hz, record.activity, record.batch_size)
+            key = (point.freq_hz, activity, batch)
             new_power = cache.get(key)
             if new_power is None:
                 new_power = cache[key] = device.power_model.power_w(
-                    point, record.activity, record.batch_size
+                    point, activity, batch
                 )
-            if new_power - record.power_w > headroom:
-                continue
-            old_total = record.completion_time - record.issue_time
+            if new_power - old_power > headroom:
+                # power_w rises with frequency (voltage does), so every
+                # faster point is over the headroom too.
+                break
             new_total = old_total - remaining + DVFS_SWITCH_NS + new_remaining
-            gain = ppw_increase(
-                record.batch_size, old_total, record.power_w, new_total, new_power
-            )
+            # ppw_increase, with the old term computed once per device.
+            new_ppw = ppw(batch, new_total, new_power)
+            if old_ppw is None:
+                old_ppw = ppw(batch, old_total, old_power)
+            gain = new_ppw - old_ppw
             if best is None or gain > best[3]:
                 best = (point, new_remaining, new_power, gain)
         return best

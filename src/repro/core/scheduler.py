@@ -9,9 +9,9 @@ removed from the offload engine (deferred to the conventional pipeline).
 
 Two sweep implementations coexist:
 
-- the **vectorized** sweep (default) evaluates feasibility masks and the
-  metric argmax against a precomputed
-  :class:`~repro.core.sweepgrid.SweepGrid`, and
+- the **vectorized** sweep (default) ranks the candidates of a
+  precomputed :class:`~repro.core.sweepgrid.SweepGrid` once per queue
+  depth and picks the first feasible one, and
 - the **reference** loop, the line-for-line Algorithm 1 transcription,
   kept as the golden model (``REPRO_SWEEP_REFERENCE=1`` or
   ``vectorized=False`` selects it).
@@ -53,6 +53,43 @@ def _vectorized_default() -> bool:
     return not envcfg.get_bool(SWEEP_REFERENCE_ENV)
 
 
+# One queue depth's candidates, best first: (t_total_ns, col, power_w,
+# row, score).
+_Ranked = list[tuple[int, int, float, int, float]]
+# Filtered sweep tables: (points, t_total, power, score, ranked), where
+# ranked maps a queue depth n to _rank(tables, n).
+_Tables = tuple[
+    tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray, dict[int, _Ranked]
+]
+
+
+def _rank(tables: _Tables, n_batches: int) -> _Ranked:
+    """The candidates of the first ``n_batches`` columns, best first.
+
+    The order is (-score, row, col): a stable sort of the row-major
+    index by -score.  Its first feasible entry is the one a masked
+    argmax picks (the first occurrence of the feasible maximum), which
+    is the reference loop's strict-improvement tie-break over (slowest
+    point first, smallest batch first).  A non-finite score would make
+    the two disagree, so it is refused.
+    """
+    __, t_grid, p_grid, score_grid, __ = tables
+    score = score_grid[:, :n_batches]
+    if not np.isfinite(score).all():
+        raise SchedulingError("non-finite Algorithm-1 score in the sweep grid")
+    order = np.argsort(-score, axis=None, kind="stable")
+    rows, cols = np.divmod(order, n_batches)
+    return list(
+        zip(
+            t_grid[:, :n_batches].ravel()[order].tolist(),
+            cols.tolist(),
+            p_grid[:, :n_batches].ravel()[order].tolist(),
+            rows.tolist(),
+            score.ravel()[order].tolist(),
+        )
+    )
+
+
 @dataclass(frozen=True)
 class ScheduleDecision:
     """One committed offloading choice."""
@@ -87,8 +124,9 @@ class WorkloadScheduler:
     # False selects the reference Algorithm-1 loop (golden model);
     # REPRO_SWEEP_REFERENCE=1 flips the default process-wide.
     vectorized: bool = field(default_factory=_vectorized_default)
-    # Per-(model, floor, cap) filtered sweep tables (vectorized path only).
-    _grids: "dict[tuple[str, float, float | None], tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray]]" = field(
+    # Per-(model, floor, cap) filtered sweep tables plus their candidate
+    # rankings by queue depth (vectorized path only).
+    _grids: "dict[tuple[str, float, float | None], _Tables]" = field(
         default_factory=dict, compare=False, repr=False
     )
     # Per-model fastest batch-1 t_total_ns, for deadline_feasible().
@@ -331,14 +369,13 @@ class WorkloadScheduler:
 
     def _tables(
         self, model: str, floor_freq_hz: float, cap_freq_hz: "float | None" = None
-    ) -> "tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray] | None":
-        """Floor/cap-filtered (points, t_total, power, score) tables, or
-        None when this scheduler is on the reference path.
+    ) -> "_Tables | None":
+        """Floor/cap-filtered (points, t_total, power, score, ranked)
+        tables, or None when this scheduler is on the reference path.
 
         Scores are sweep-invariant (pure functions of the grid), so they
         are materialised here once per (model, floor, cap) rather than
-        per issue; the per-sweep work reduces to two feasibility masks
-        and a masked argmax.
+        per issue; ``ranked`` fills in per queue depth on first use.
         """
         if not self.vectorized:
             return None
@@ -372,46 +409,43 @@ class WorkloadScheduler:
                 score = -t_total.astype(np.float64)
             else:  # throughput
                 score = batches / (t_total / 1e9)
-            tables = (points, t_total, power, score)
+            tables = (points, t_total, power, score, {})
             self._grids[key] = tables
         return tables
 
     def _sweep_vectorized(
         self,
-        tables: "tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray]",
+        tables: _Tables,
         now: int,
         tightest: "list[int]",
         power_budget_w: float,
         stats: "dict[str, int] | None",
     ) -> ScheduleDecision | None:
-        points, t_grid, p_grid, score_grid = tables
+        points, t_grid, p_grid, score_grid, ranked = tables
         n_batches = len(tightest)
-        t_total = t_grid[:, :n_batches]
-        power = p_grid[:, :n_batches]
-        deadline_ok = (now + t_total) <= np.asarray(tightest, dtype=np.int64)
-        power_ok = power <= power_budget_w
-        feasible = deadline_ok & power_ok
         if stats is not None:
+            # Rejection counts only; the pick below does not read them.
+            t_total = t_grid[:, :n_batches]
+            deadline_ok = (now + t_total) <= np.asarray(tightest, dtype=np.int64)
+            power_ok = p_grid[:, :n_batches] <= power_budget_w
             stats["considered"] += t_total.size
             stats["deadline"] += int((~deadline_ok).sum())
             # The reference loop checks power only after the deadline passes.
             stats["power"] += int((deadline_ok & ~power_ok).sum())
-            stats["feasible"] += int(feasible.sum())
-        if not feasible.any():
-            return None
-        # argmax returns the first occurrence of the maximum — exactly the
-        # reference loop's strict-improvement tie-break over (slowest
-        # point first, smallest batch first).
-        score = score_grid[:, :n_batches]
-        flat = int(np.argmax(np.where(feasible, score, -np.inf)))
-        row, col = divmod(flat, n_batches)
-        return ScheduleDecision(
-            point=points[row],
-            batch_size=col + 1,
-            t_total_ns=int(t_total[row, col]),
-            power_w=float(power[row, col]),
-            ppw=float(score[row, col]),
-        )
+            stats["feasible"] += int((deadline_ok & power_ok).sum())
+        candidates = ranked.get(n_batches)
+        if candidates is None:
+            candidates = ranked[n_batches] = _rank(tables, n_batches)
+        for t_total_ns, col, power_w, row, score in candidates:
+            if now + t_total_ns <= tightest[col] and power_w <= power_budget_w:
+                return ScheduleDecision(
+                    point=points[row],
+                    batch_size=col + 1,
+                    t_total_ns=t_total_ns,
+                    power_w=power_w,
+                    ppw=score,
+                )
+        return None
 
     def _sweep_reference(
         self,

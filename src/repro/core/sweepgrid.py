@@ -5,7 +5,7 @@
 re-derives them per candidate on every issue — the back-tester's hottest
 path.  A :class:`SweepGrid` materialises both quantities once per
 (model, DVFS table, max batch) as dense numpy arrays, so a sweep becomes
-two broadcast comparisons and one masked argmax.
+a scan of candidates ranked once per queue depth.
 
 Every cell is produced by calling the profile's own scalar oracle, which
 makes the grid bit-exact with the reference loop by construction — the

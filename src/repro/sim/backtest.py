@@ -330,9 +330,6 @@ def _fold_registry(registry: MetricRegistry, state: _Pending) -> None:
         registry.counter("dvfs.boost_transitions").inc(
             dvfs.stats["boost_transitions"]
         )
-        registry.counter("dvfs.save_transitions").inc(
-            dvfs.stats["save_transitions"]
-        )
         registry.counter("impl.dvfs.redistribute_calls").inc(
             dvfs.stats["redistribute_calls"]
         )

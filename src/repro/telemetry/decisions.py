@@ -106,10 +106,6 @@ class DecisionLog:
 
     # -- Algorithm 2 ---------------------------------------------------------
 
-    def record_save_power(self, now: int, transitions: int) -> None:
-        self.registry.counter("dvfs.save_power_transitions").inc(transitions)
-        self.emit("save_power", t_ns=now, transitions=transitions)
-
     def record_reclaim(
         self, now: int, needed_w: float, headroom_w: float, satisfied: bool
     ) -> None:

@@ -11,6 +11,7 @@ from repro.accelerator import (
     DVFSTable,
     DVFS_SWITCH_NS,
     InterlakenLinkConfig,
+    OperatingPoint,
     PowerModel,
     WatermarkFifo,
     bandwidth_ratio,
@@ -111,6 +112,159 @@ class TestCluster:
             AcceleratorCluster(0, table, PowerModel(), budget_w=10.0)
         with pytest.raises(AcceleratorError):
             AcceleratorCluster(2, table, PowerModel(), budget_w=0.0)
+
+
+def _oracle_power(device, now):
+    """power_now recomputed from the power model, with no cached state."""
+    if not device.healthy:
+        return 0.0
+    record = device.current
+    if record is not None and now < record.completion_time:
+        return device.power_model.power_w(
+            record.point, record.activity, record.batch_size
+        )
+    return device.power_model.idle_power_w(device.point)
+
+
+def _oracle_total(cluster, now):
+    """The cluster draw as a left-to-right sum over devices."""
+    total = 0.0
+    for device in cluster.devices:
+        total += _oracle_power(device, now)
+    return total
+
+
+class TestCachedPowerState:
+    """The cached idle draw and the in-place rescale never change a watt.
+
+    Random operation sequences on a 4-device cluster; after every step,
+    total_power and each power_now must have the oracle's exact bits at
+    ``now`` and just before, at and after every in-flight completion
+    (at it, the batch is still ``current`` until finish() runs)."""
+
+    # Operation → relative draw weight (faults rarer than batch traffic).
+    OPS = {
+        "issue": 4,
+        "rescale_up": 3,
+        "rescale_down": 3,
+        "finish": 3,
+        "to_completion": 2,
+        "fail": 1,
+        "recover": 2,
+        "throttle": 1,
+        "release": 1,
+        "set_point": 2,
+        "assign": 1,
+    }
+
+    @staticmethod
+    def _check(cluster, now):
+        probes = {now}
+        for device in cluster.devices:
+            if device.current is not None:
+                done = device.current.completion_time
+                probes.update((done - 1, done, done + 1))
+        for t in sorted(probes):
+            assert cluster.total_power(t).hex() == _oracle_total(cluster, t).hex()
+            for device in cluster.devices:
+                assert device.power_now(t).hex() == _oracle_power(device, t).hex()
+
+    @staticmethod
+    def _step(op, device, now, rng, table, model):
+        """Apply ``op`` to ``device`` if it is legal now; returns the new
+        time, or None when the operation does not apply."""
+        points = table.points
+        pick = points[int(rng.integers(0, len(points)))]
+        record = device.current
+        busy = record is not None and not device.is_idle(now)
+        if op == "issue":
+            if not device.healthy or device.ready_time(now) > now:
+                return None
+            device.issue(
+                now,
+                int(rng.integers(1, 40_000)),
+                batch_size=int(rng.integers(1, 17)),
+                activity=float(rng.uniform(0.0, 4.0)),
+                deadline_ns=now + int(rng.integers(0, 40_000)),
+            )
+        elif op in ("rescale_up", "rescale_down"):
+            if not busy:
+                return None
+            up = op == "rescale_up"
+            choices = [
+                p
+                for p in points
+                if (p.freq_hz > device.point.freq_hz) == up and p != device.point
+            ]
+            if not choices:
+                return None
+            point = choices[int(rng.integers(0, len(choices)))]
+            power = None
+            if rng.random() < 0.5:  # the handed-over draw, as Algorithm 2 does
+                power = model.power_w(point, record.activity, record.batch_size)
+            device.rescale_inflight(now, point, int(rng.integers(0, 20_000)), power)
+        elif op == "finish":
+            if record is None or now < record.completion_time:
+                return None
+            device.finish(now)
+        elif op == "to_completion":
+            if record is None or record.completion_time <= now:
+                return None
+            return record.completion_time  # probed before finish() runs
+        elif op == "fail":
+            device.fail(now)
+        elif op == "recover":
+            if device.healthy:
+                return None
+            device.recover(now, pick if rng.random() < 0.5 else None)
+        elif op == "throttle":
+            device.throttle(pick.freq_hz)
+        elif op == "release":
+            device.release_throttle()
+        elif op == "set_point":
+            if not device.healthy or not device.is_idle(now):
+                return None
+            if device.cap_hz is not None and pick.freq_hz > device.cap_hz + 1e-3:
+                return None
+            device.set_point(pick, now)
+        else:  # assign: a table point, an equal copy, or an off-table point
+            roll = rng.random()
+            if roll < 0.4:
+                device.point = pick
+            elif roll < 0.6:
+                device.point = OperatingPoint(pick.freq_hz, pick.voltage)
+            elif roll < 0.8:  # same clock, another voltage
+                voltage = float(rng.uniform(0.6, 1.2))
+                device.point = OperatingPoint(device.point.freq_hz, voltage)
+            else:
+                freq = float(rng.uniform(0.8e9, 2.2e9))
+                device.point = OperatingPoint(freq, table.config.voltage_at(freq))
+        return now
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_recomputation_under_random_operations(self, seed):
+        table = DVFSTable()
+        model = PowerModel()
+        cluster = AcceleratorCluster(
+            n_accelerators=4, table=table, power_model=model, budget_w=20.0
+        )
+        rng = np.random.default_rng(seed)
+        names = list(self.OPS)
+        weights = np.array([self.OPS[name] for name in names], dtype=float)
+        applied = set()
+        now = 0
+        self._check(cluster, now)
+        for __ in range(800):
+            now += int(rng.integers(0, 2_000))
+            op = names[int(rng.choice(len(names), p=weights / weights.sum()))]
+            device = cluster.devices[int(rng.integers(0, 4))]
+            moved = self._step(op, device, now, rng, table, model)
+            if moved is None:
+                continue
+            applied.add(op)
+            now = moved
+            self._check(cluster, now)
+        assert applied == set(self.OPS)
 
 
 class TestC2CLink:

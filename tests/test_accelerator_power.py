@@ -1,5 +1,6 @@
 """Tests for DVFS table, power model and Table-III calibration."""
 
+import numpy as np
 import pytest
 
 from repro import paperdata
@@ -13,6 +14,7 @@ from repro.accelerator import (
     build_static_table,
     fit_activity_coefficients,
 )
+from repro.baselines.profiles import lighttrader_profile
 from repro.errors import AcceleratorError
 from repro.units import GHZ
 
@@ -81,6 +83,23 @@ class TestPowerModel:
         table = DVFSTable()
         powers = [model.power_w(p, activity=1.5) for p in table]
         assert powers == sorted(powers)
+
+    @pytest.mark.parametrize("cap_hz", [None, paperdata.TABLE3_CONSERVATIVE_CAP_HZ])
+    def test_power_non_decreasing_point_to_point(self, model, cap_hz):
+        """Algorithm 2 stops its faster-point scan at the first point over
+        the headroom; that is exact only while power_w never falls from
+        one table point to the next, at any activity and batch."""
+        table = DVFSTable(cap_hz=cap_hz)
+        calibrated = list(fit_activity_coefficients().values()) + [
+            cost.activity for cost in lighttrader_profile().costs.values()
+        ]
+        rng = np.random.default_rng(17)
+        drawn = rng.uniform(0.0, K_FULL_UTILISATION, size=40).tolist()
+        for activity in calibrated + drawn + [0.0, K_FULL_UTILISATION]:
+            for batch in range(1, 17):
+                powers = [model.power_w(p, activity, batch) for p in table]
+                for lower, higher in zip(powers, powers[1:]):
+                    assert lower <= higher, (activity, batch, powers)
 
     def test_power_monotone_in_activity(self, model):
         point = DVFSTable().at_ghz(2.0)

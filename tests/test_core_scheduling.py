@@ -189,32 +189,6 @@ class TestDVFSScheduler:
         # With most of the budget reserved, the boost must stay modest.
         assert cluster.total_power(0) <= 8.0 - 6.0 + 2.5
 
-    def test_save_power_scales_down_within_deadline(self, profile, table):
-        cluster = self.make_cluster(table)
-        device = self.busy_device(
-            cluster, table, point_ghz=2.2, duration_us=100, deadline_us=100_000
-        )
-        ds = DVFSScheduler(profile, table)
-        assert ds.save_power(cluster, now=0) >= 1
-        assert device.point.freq_ghz < 2.2
-        assert device.busy_until + 0 <= us_to_ns(100_000)
-
-    def test_save_power_skipped_under_queue_pressure(self, profile, table):
-        cluster = self.make_cluster(table)
-        device = self.busy_device(cluster, table, point_ghz=2.2, deadline_us=100_000)
-        ds = DVFSScheduler(profile, table)
-        assert ds.save_power(cluster, now=0, queue_pressure=True) == 0
-        assert device.point.freq_ghz == pytest.approx(2.2)
-
-    def test_save_power_respects_tight_deadline(self, profile, table):
-        cluster = self.make_cluster(table)
-        device = self.busy_device(
-            cluster, table, point_ghz=2.0, duration_us=500, deadline_us=510
-        )
-        ds = DVFSScheduler(profile, table)
-        assert ds.save_power(cluster, now=0) == 0
-        assert device.point.freq_ghz == pytest.approx(2.0)
-
     def test_reclaim_frees_headroom(self, profile, table):
         cluster = self.make_cluster(table, n=2, budget=9.0)
         device = self.busy_device(
@@ -229,6 +203,29 @@ class TestDVFSScheduler:
         cluster = self.make_cluster(table, budget=100.0)
         ds = DVFSScheduler(profile, table)
         assert ds.reclaim(cluster, now=0, needed_w=1.0)
+
+    def test_save_power_scales_down_within_deadline(self, profile, table):
+        """A reclaim saves power by slowing a busy batch, no further than
+        its deadline allows."""
+        cluster = self.make_cluster(table, n=2, budget=9.0)
+        device = self.busy_device(
+            cluster, table, point_ghz=2.2, duration_us=100, deadline_us=100_000
+        )
+        ds = DVFSScheduler(profile, table)
+        ds.reclaim(cluster, now=0, needed_w=cluster.headroom(0) + 2.0)
+        assert device.point.freq_ghz < 2.2
+        assert device.busy_until <= us_to_ns(100_000)
+
+    def test_save_power_respects_tight_deadline(self, profile, table):
+        """A reclaim leaves a batch without deadline slack at its point."""
+        cluster = self.make_cluster(table, n=2, budget=9.0)
+        device = self.busy_device(
+            cluster, table, point_ghz=2.0, duration_us=500, deadline_us=510
+        )
+        ds = DVFSScheduler(profile, table)
+        assert not ds.reclaim(cluster, now=0, needed_w=cluster.headroom(0) + 2.0)
+        assert device.point.freq_ghz == pytest.approx(2.0)
+        assert device.busy_until == us_to_ns(500)
 
     def test_boost_skipped_when_switch_eats_gain(self, profile, table):
         """A nearly-finished batch is not worth a 4 µs PMIC transition."""

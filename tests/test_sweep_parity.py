@@ -19,6 +19,8 @@ from repro.accelerator.power import DVFSTable
 from repro.baselines.modelcosts import ModelCost
 from repro.baselines.profiles import lighttrader_profile
 from repro.core.scheduler import SWEEP_REFERENCE_ENV, WorkloadScheduler
+from repro.core.sweepgrid import SweepGrid
+from repro.errors import SchedulingError
 from repro.telemetry.decisions import DecisionLog
 
 NOW = 5_000_000  # ns
@@ -171,3 +173,104 @@ def test_cap_below_every_point_yields_none(profile):
             "deeplob", NOW, [NOW + 5_000_000], 55.0, cap_freq_hz=1.0
         )
         assert decision is None
+
+
+class _GridStub:
+    """A profile whose (t_total, power) per (point row, batch) come from
+    ``cell(row, batch)``; the vectorized path gets a SweepGrid of them."""
+
+    def __init__(self, table, cell):
+        self.table = table
+        self.cell = cell
+
+    def t_total_ns(self, model, point, batch_size):
+        return self.cell(self.table.points.index(point), batch_size)[0]
+
+    def power_w(self, model, point, batch_size):
+        return self.cell(self.table.points.index(point), batch_size)[1]
+
+    def sweep_grid(self, model, table, max_batch):
+        return SweepGrid.build(self, model, table, max_batch)
+
+
+def _pair(stub, table, metric="ppw", max_batch=4):
+    vec_log, ref_log = DecisionLog(), DecisionLog()
+    vec = WorkloadScheduler(
+        stub, table, max_batch=max_batch, metric=metric, log=vec_log, vectorized=True
+    )
+    ref = WorkloadScheduler(
+        stub, table, max_batch=max_batch, metric=metric, log=ref_log, vectorized=False
+    )
+    return vec, ref, vec_log, ref_log
+
+
+def _assert_same(got, want):
+    assert got == want
+    if want is not None:
+        assert got.ppw.hex() == want.ppw.hex()
+        assert got.power_w.hex() == want.power_w.hex()
+
+
+@pytest.mark.parametrize("metric", ["ppw", "latency", "throughput"])
+def test_tied_scores_pick_like_the_reference(metric):
+    """Every row repeats the same (t_total, power), so each score ties
+    across all operating points (and, for ppw, across some batches): the
+    reference keeps the first of equals, slowest point and smallest
+    batch first, and so must the ranked scan."""
+    table = DVFSTable(cap_hz=2.2e9)
+    stub = _GridStub(table, lambda row, b: (100_000 * b, 2.0 + 0.5 * (b % 2)))
+    vec, ref, vec_log, ref_log = _pair(stub, table, metric)
+    rng = np.random.default_rng(5)
+    decided = 0
+    for __ in range(200):
+        depth = int(rng.integers(1, 5))
+        deadlines = [NOW + int(rng.integers(50_000, 500_000)) for __ in range(depth)]
+        budget = float(rng.choice([1.0, 2.0, 2.5, 3.0]))
+        floor = float(rng.choice([0.0, 1.4e9]))
+        want = ref.decide("stub", NOW, deadlines, budget, floor)
+        _assert_same(vec.decide("stub", NOW, deadlines, budget, floor), want)
+        decided += want is not None
+    assert 0 < decided < 200
+    assert vec_log.events == ref_log.events
+
+
+def test_only_the_last_ranked_candidate_feasible():
+    """The scan walks the whole ranking: only the lowest-scored candidate
+    (fastest point, batch 1; power doubling per row keeps its PPW lowest)
+    meets the deadline, and one nanosecond less leaves none."""
+    table = DVFSTable(cap_hz=2.2e9)
+    top = len(table) - 1
+    stub = _GridStub(
+        table, lambda row, b: (10_000 * b + 1_000 * (top - row) + 1_000, 2.0**row)
+    )
+    vec, ref, vec_log, ref_log = _pair(stub, table, max_batch=4)
+    ranked = sorted(
+        (-ref._score(b, *stub.cell(row, b)), row, b)
+        for row in range(len(table))
+        for b in range(1, 5)
+    )
+    assert ranked[-1][1:] == (top, 1)
+    fastest = stub.cell(top, 1)[0]
+    for slack in (fastest, fastest - 1):
+        deadlines = [NOW + slack] * 4
+        want = ref.decide("stub", NOW, deadlines, 1e9)
+        _assert_same(vec.decide("stub", NOW, deadlines, 1e9), want)
+        if slack == fastest:
+            assert (want.point, want.batch_size) == (table.max_point, 1)
+        else:
+            assert want is None
+    assert vec_log.events == ref_log.events
+
+
+def test_non_finite_score_refused():
+    """A zero-power cell scores +inf, where argmax and a sort disagree;
+    both paths raise instead of deciding."""
+    table = DVFSTable(cap_hz=2.2e9)
+    stub = _GridStub(table, lambda row, b: (100_000 * b, 0.0 if row == 3 else 2.0))
+    vec, ref, __, __ = _pair(stub, table)
+    deadlines = [NOW + 10_000_000] * 4
+    with np.errstate(divide="ignore"):
+        with pytest.raises(SchedulingError):
+            vec.decide("stub", NOW, deadlines, 55.0)
+    with pytest.raises(SchedulingError):
+        ref.decide("stub", NOW, deadlines, 55.0)
