@@ -40,6 +40,15 @@ class OperatingPoint:
     freq_hz: float
     voltage: float
 
+    def __eq__(self, other: object) -> bool:
+        # Callers mostly compare table points with themselves, which the
+        # identity test settles; the dataclass still generates __hash__.
+        if self is other:
+            return True
+        if not isinstance(other, OperatingPoint):
+            return NotImplemented
+        return (self.freq_hz, self.voltage) == (other.freq_hz, other.voltage)
+
     @property
     def freq_ghz(self) -> float:
         """Frequency in GHz (display)."""

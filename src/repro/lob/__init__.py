@@ -1,11 +1,14 @@
 """Limit order book substrate: orders, books, matching, snapshots, events.
 
-Two interchangeable engines live here: the object-per-order golden
-reference (:class:`LimitOrderBook` + :class:`MatchingEngine`) and the
-struct-of-arrays fast path (:class:`ArrayBook` +
+Two interchangeable exchange-side engines live here: the object-per-order
+golden reference (:class:`LimitOrderBook` + :class:`MatchingEngine`) and
+the struct-of-arrays fast path (:class:`ArrayBook` +
 :class:`ArrayMatchingEngine`, with :class:`BatchedBooks` stepping N
 independent books in one vectorized pass).  Pick via
-``REPRO_LOB_ENGINE`` through :func:`make_matching_engine`.
+``REPRO_LOB_ENGINE`` through :func:`make_matching_engine`.  The trading
+side does not hold orders: its book mirror
+(:class:`repro.pipeline.LocalBookMirror`) keeps price -> volume ladders
+and snapshots them with :meth:`DepthSnapshot.from_ladders`.
 """
 
 from repro.lob.array_book import ArrayBook, ArraySide, LevelView, OrderSlab

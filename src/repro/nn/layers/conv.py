@@ -68,7 +68,14 @@ class Conv2D(Layer):
             padded = np.zeros(shape, dtype=np.float32)
             padded[:, :, top : top + height, left : left + width] = x
             x = padded
-        cols = _im2col(x, kh, kw, sh, sw)  # (N, C*kh*kw, out_h*out_w)
+        # (N, C*kh*kw, out_h*out_w)
+        cols = _im2col(np.ascontiguousarray(x), kh, kw, sh, sw)
+        if not cols.flags.c_contiguous:
+            # A view of overlapping windows (full-width kernels), which
+            # matmul cannot pass to BLAS as is.  A per-sample F-ordered
+            # copy is faster than leaving it to matmul and gives the same
+            # float32 bits; a C-ordered copy changes the summation order.
+            cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).transpose(0, 2, 1)
         weight = self.params["weight"].reshape(self.filters, -1)
         out = weight @ cols + self.params["bias"][:, None]
         out_c, out_h, out_w = self.output_shape
@@ -85,30 +92,22 @@ class Conv2D(Layer):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Extract conv patches: returns ``(N, C*kh*kw, out_h*out_w)``."""
+    """Extract conv patches: returns ``(N, C*kh*kw, out_h*out_w)``.
+
+    ``x`` must be C-contiguous; the result is a view of it where the
+    patch axes merge without a copy.
+    """
     n, c, h, w = x.shape
     out_h = (h - kh) // sh + 1
     out_w = (w - kw) // sw + 1
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, out_h, out_w, kh, kw),
-        strides=(
-            strides[0],
-            strides[1],
-            strides[2] * sh,
-            strides[3] * sw,
-            strides[2],
-            strides[3],
-        ),
-        writeable=False,
+    s0, s1, s2, s3 = x.strides
+    windows = np.ndarray(
+        (n, c, kh, kw, out_h, out_w),
+        x.dtype,
+        buffer=x,
+        strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
     )
-    # (N, C, kh, kw, out_h, out_w) -> (N, C*kh*kw, out_h*out_w)
-    return (
-        windows.transpose(0, 1, 4, 5, 2, 3)
-        .reshape(n, c * kh * kw, out_h * out_w)
-        .astype(np.float32, copy=False)
-    )
+    return windows.reshape(n, c * kh * kw, out_h * out_w)
 
 
 class CausalConv1D(Layer):

@@ -43,9 +43,14 @@ def to_bf16(x: np.ndarray) -> np.ndarray:
     """
     x = np.ascontiguousarray(x, dtype=np.float32)
     bits = x.view(np.uint32)
-    # Round-to-nearest-even: add 0x7FFF + LSB of the surviving half.
-    rounded = bits + 0x7FFF + ((bits >> 16) & 1)
-    out = (rounded & np.uint32(0xFFFF0000)).view(np.float32).copy()
+    # Round-to-nearest-even: add 0x7FFF + LSB of the surviving half, in
+    # one fresh array (uint32 sums wrap, so their order does not matter).
+    rounded = bits >> 16
+    rounded &= 1
+    rounded += bits
+    rounded += 0x7FFF
+    rounded &= 0xFFFF0000
+    out = rounded.view(np.float32)
     # Preserve NaN payload sanity: NaN in, NaN out.
     nan_mask = np.isnan(x)
     if nan_mask.any():

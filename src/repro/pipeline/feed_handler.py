@@ -10,13 +10,13 @@ the functional counterpart used by examples and integration tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
-from repro.errors import ProtocolError
-from repro.lob.book import LimitOrderBook
+from repro.errors import OrderBookError, ProtocolError
 from repro.metrics import MetricRegistry, NULL_METRICS
 from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
-from repro.lob.order import Order, Side
+from repro.lob.order import Side
 from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
 from repro.protocol.framing import decode_sequenced_payload, decode_udp_frame
 from repro.protocol.parser import PacketParser
@@ -67,24 +67,27 @@ class SequenceTracker:
 class LocalBookMirror:
     """Aggregate price-level mirror of the exchange book for one symbol.
 
-    The mirror stores one synthetic order per price level sized to the
-    published aggregate volume — exactly the information the feed
-    carries — so it supports snapshotting without the exchange's
-    order-by-order detail.
+    Each side is a price -> aggregate volume ladder (a dict plus the same
+    prices sorted ascending) holding exactly what the feed publishes: no
+    orders, only the level totals a depth snapshot needs.  Levels must
+    have positive prices and volumes; a zero volume or a DELETE removes
+    the level.
     """
 
     symbol: str
-    book: LimitOrderBook = field(init=False)
-    _level_orders: dict[tuple[Side, int], int] = field(default_factory=dict)
     last_trade_price: int | None = None
     last_trade_quantity: int = 0
     # A sequence gap leaves the mirror potentially missing updates; it
     # stays stale (snapshots withheld) until resynced from an
     # authoritative DepthSnapshot.
     stale: bool = False
-
-    def __post_init__(self) -> None:
-        self.book = LimitOrderBook(self.symbol)
+    # Indexed by Side: price -> volume, and the prices in ascending order.
+    _volumes: tuple[dict[int, int], dict[int, int]] = field(
+        init=False, repr=False, default_factory=lambda: ({}, {})
+    )
+    _prices: tuple[list[int], list[int]] = field(
+        init=False, repr=False, default_factory=lambda: ([], [])
+    )
 
     def invalidate(self) -> None:
         """Mark the mirror stale (a feed gap may have lost updates)."""
@@ -96,47 +99,74 @@ class LocalBookMirror:
         The snapshot's aggregate levels replace the whole book — exactly
         the recovery a real feed handler performs from the exchange's
         snapshot channel after detecting loss on the incremental channel.
+        Levels without volume are skipped.  The whole snapshot is checked
+        before the mirror changes: a price listed twice on one side raises
+        :class:`ProtocolError`, a non-positive price with volume raises
+        :class:`OrderBookError`, and either leaves the mirror as it was.
         """
-        self.book = LimitOrderBook(self.symbol)
-        self._level_orders.clear()
+        volumes: tuple[dict[int, int], dict[int, int]] = ({}, {})
         for side, levels in ((Side.BID, snapshot.bids), (Side.ASK, snapshot.asks)):
+            seen = set()
             for price, volume in levels:
+                if price in seen:
+                    raise ProtocolError(
+                        f"resync snapshot lists {side.name} price {price} twice"
+                    )
+                seen.add(price)
                 if volume <= 0:
                     continue
-                order = Order(side=side, price=price, quantity=volume)
-                self.book.insert(order)
-                self._level_orders[(side, price)] = order.order_id
+                if price <= 0:
+                    raise OrderBookError(
+                        f"limit price must be positive ticks, got {price}"
+                    )
+                volumes[side][price] = volume
+        self._volumes = volumes
+        self._prices = (sorted(volumes[Side.BID]), sorted(volumes[Side.ASK]))
         if snapshot.last_trade_price is not None:
             self.last_trade_price = snapshot.last_trade_price
             self.last_trade_quantity = snapshot.last_trade_quantity
         self.stale = False
 
     def apply(self, event: MarketEvent) -> None:
-        """Apply one decoded market event to the mirror."""
+        """Apply one decoded market event to the mirror.
+
+        A book update replaces its level's volume; DELETE or a
+        non-positive volume removes the level.  A positive volume at a
+        non-positive price raises :class:`OrderBookError`, as resting it
+        in a book would; no level can exist at such a price.
+        """
         if isinstance(event, TradeTick):
             self.last_trade_price = event.price
             self.last_trade_quantity = event.quantity
             return
         if not isinstance(event, BookUpdate):
             raise ProtocolError(f"unknown event type {type(event).__name__}")
-        key = (event.side, event.price)
-        existing = self._level_orders.pop(key, None)
-        if existing is not None and existing in self.book:
-            self.book.remove(existing)
+        volumes = self._volumes[event.side]
+        prices = self._prices[event.side]
+        price = event.price
         if event.action is UpdateAction.DELETE or event.volume <= 0:
+            if volumes.pop(price, None) is not None:
+                del prices[bisect_left(prices, price)]
             return
-        order = Order(side=event.side, price=event.price, quantity=event.volume)
-        self.book.insert(order)
-        self._level_orders[key] = order.order_id
+        if price not in volumes:
+            if price <= 0:
+                raise OrderBookError(f"limit price must be positive ticks, got {price}")
+            insort(prices, price)
+        volumes[price] = event.volume
 
     def snapshot(self, timestamp: int, depth: int = CANONICAL_DEPTH) -> DepthSnapshot:
-        """Depth snapshot of the mirrored book."""
-        return DepthSnapshot.capture(
-            self.book,
-            timestamp=timestamp,
-            depth=depth,
-            last_trade_price=self.last_trade_price,
-            last_trade_quantity=self.last_trade_quantity,
+        """Depth snapshot of the mirrored book (sequence 0)."""
+        bid_volumes, ask_volumes = self._volumes
+        bid_prices, ask_prices = self._prices
+        return DepthSnapshot.from_ladders(
+            self.symbol,
+            timestamp,
+            depth,
+            tuple([(p, bid_volumes[p]) for p in bid_prices[: -depth - 1 : -1]]),
+            tuple([(p, ask_volumes[p]) for p in ask_prices[:depth]]),
+            self.last_trade_price,
+            self.last_trade_quantity,
+            0,
         )
 
 

@@ -51,6 +51,10 @@ class NormalizationStats:
         """
         if not np.isfinite(vector).all():
             raise SchedulingError("non-finite feature vector reached normalisation")
+        return self.normalise(vector)
+
+    def normalise(self, vector: np.ndarray) -> np.ndarray:
+        """:meth:`apply` for a vector the caller has already found finite."""
         return to_bf16((vector - self.mean) / self.std)
 
 
@@ -140,7 +144,7 @@ class OffloadEngine:
                 self.rejected_corrupt += 1
                 return None
             if self.stats is not None:
-                vector = self.stats.apply(vector)
+                vector = self.stats.normalise(vector)
             if self._ring is None:
                 self._ring = np.empty((2 * window, *vector.shape), dtype=vector.dtype)
             head = self._head

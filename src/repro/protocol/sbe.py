@@ -17,7 +17,8 @@ against malformed and truncated inputs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ProtocolError
 from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
@@ -40,11 +41,6 @@ class FieldSpec:
     name: str
     code: str  # single struct format character, little-endian applied later
 
-    @property
-    def size(self) -> int:
-        """Encoded width in bytes."""
-        return struct.calcsize("<" + self.code)
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -56,12 +52,17 @@ class GroupSpec:
     @property
     def entry_size(self) -> int:
         """Encoded width of one group entry."""
-        return sum(f.size for f in self.fields)
+        return self.packer.size
 
-    @property
+    @cached_property
     def packer(self) -> struct.Struct:
-        """Struct for one entry."""
+        """Struct for one entry, built on first use."""
         return struct.Struct("<" + "".join(f.code for f in self.fields))
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """Field names of one entry, in wire order."""
+        return tuple(f.name for f in self.fields)
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,17 @@ class MessageSchema:
     @property
     def block_length(self) -> int:
         """Size of the root block in bytes."""
-        return sum(f.size for f in self.root_fields)
+        return self.root_packer.size
 
-    @property
+    @cached_property
     def root_packer(self) -> struct.Struct:
-        """Struct for the root block."""
+        """Struct for the root block, built on first use."""
         return struct.Struct("<" + "".join(f.code for f in self.root_fields))
+
+    @cached_property
+    def root_names(self) -> tuple[str, ...]:
+        """Root field names, in wire order."""
+        return tuple(f.name for f in self.root_fields)
 
 
 def encode_message(schema: MessageSchema, message: dict) -> bytes:
@@ -119,13 +125,20 @@ def peek_template_id(payload: bytes) -> int:
     return _MESSAGE_HEADER.unpack_from(payload, 0)[1]
 
 
-def decode_message(schema: MessageSchema, payload: bytes) -> dict:
-    """Decode ``payload`` (which must carry ``schema``'s template id)."""
+def decode_rows(
+    schema: MessageSchema, payload: bytes
+) -> tuple[tuple, list[list[tuple]]]:
+    """Decode ``payload`` into its root block and group entries as tuples.
+
+    Returns the root block's values, then per group of ``schema`` one
+    tuple per entry, all in wire order.  ``payload`` must carry
+    ``schema``'s template id.  A declared root block length or group
+    entry size shorter than the schema's layout is malformed: reading it
+    would take the next field's bytes.
+    """
     if len(payload) < MESSAGE_HEADER_LEN:
         raise ProtocolError(f"payload shorter than message header: {len(payload)}")
-    block_length, template_id, schema_id, version = _MESSAGE_HEADER.unpack_from(
-        payload, 0
-    )
+    block_length, template_id, schema_id, __ = _MESSAGE_HEADER.unpack_from(payload, 0)
     if template_id != schema.template_id:
         raise ProtocolError(
             f"template id {template_id} does not match {schema.name} "
@@ -133,31 +146,48 @@ def decode_message(schema: MessageSchema, payload: bytes) -> dict:
         )
     if schema_id != SCHEMA_ID:
         raise ProtocolError(f"unknown schema id {schema_id}")
+    if block_length < schema.block_length:
+        raise ProtocolError(
+            f"root block length {block_length} shorter than {schema.name}'s "
+            f"{schema.block_length}"
+        )
     offset = MESSAGE_HEADER_LEN
     if offset + block_length > len(payload):
         raise ProtocolError("truncated root block")
-    message: dict = dict(
-        zip(
-            (f.name for f in schema.root_fields),
-            schema.root_packer.unpack_from(payload, offset),
-        )
-    )
+    root = schema.root_packer.unpack_from(payload, offset)
     # Per SBE, skip the *declared* block length (forward compatibility).
     offset += block_length
+    groups = []
     for group in schema.groups:
         if offset + GROUP_HEADER_LEN > len(payload):
             raise ProtocolError(f"truncated group header for {group.name}")
         entry_size, count = _GROUP_HEADER.unpack_from(payload, offset)
         offset += GROUP_HEADER_LEN
         packer = group.packer
-        entries = []
-        for __ in range(count):
-            if offset + entry_size > len(payload):
-                raise ProtocolError(f"truncated entry in group {group.name}")
-            values = packer.unpack_from(payload, offset)
-            entries.append(dict(zip((f.name for f in group.fields), values)))
-            offset += entry_size
-        message[group.name] = entries
+        if entry_size < packer.size:
+            raise ProtocolError(
+                f"entry size {entry_size} in group {group.name} shorter than "
+                f"its layout's {packer.size}"
+            )
+        end = offset + entry_size * count
+        if end > len(payload):
+            raise ProtocolError(f"truncated entry in group {group.name}")
+        unpack_from = packer.unpack_from
+        groups.append(
+            [unpack_from(payload, offset + i * entry_size) for i in range(count)]
+        )
+        offset = end
+    return root, groups
+
+
+def decode_message(schema: MessageSchema, payload: bytes) -> dict:
+    """Decode ``payload`` (which must carry ``schema``'s template id) into
+    a dict: root fields by name, then one list of entry dicts per group."""
+    root, groups = decode_rows(schema, payload)
+    message: dict = dict(zip(schema.root_names, root))
+    for group, entries in zip(schema.groups, groups):
+        names = group.names
+        message[group.name] = [dict(zip(names, entry)) for entry in entries]
     return message
 
 
@@ -266,37 +296,36 @@ def encode_market_events(
     )
 
 
+_UPDATE_ACTIONS = {int(action): action for action in UpdateAction}
+_BOOK_SIDES = {ENTRY_BID: Side.BID, ENTRY_OFFER: Side.ASK}
+
+
 def decode_market_events(
     payload: bytes, directory: SecurityDirectory
 ) -> tuple[int, list[MarketEvent]]:
-    """Decode a MDIncrementalRefreshBook payload back into events."""
-    message = decode_message(MD_INCREMENTAL_REFRESH_BOOK, payload)
+    """Decode a MDIncrementalRefreshBook payload back into events.
+
+    An entry with an unknown ``md_entry_type``, or a book entry with an
+    unknown ``md_update_action``, makes the payload malformed.
+    """
+    (transact_time, __), (entries,) = decode_rows(MD_INCREMENTAL_REFRESH_BOOK, payload)
+    symbol_of = directory.symbol_of
     events: list[MarketEvent] = []
-    transact_time = message["transact_time"]
-    for entry in message["md_entries"]:
-        symbol = directory.symbol_of(entry["security_id"])
-        if entry["md_entry_type"] == ENTRY_TRADE:
+    for price, size, security_id, rpt_seq, action, entry_type, __ in entries:
+        symbol = symbol_of(security_id)
+        if entry_type == ENTRY_TRADE:
+            # The aggressor is not carried on the wire.
             events.append(
-                TradeTick(
-                    symbol=symbol,
-                    timestamp=transact_time,
-                    price=entry["md_entry_px"],
-                    quantity=entry["md_entry_size"],
-                    aggressor_side=Side.BID,  # aggressor not carried on the wire
-                    sequence=entry["rpt_seq"],
-                )
+                TradeTick(symbol, transact_time, price, size, Side.BID, rpt_seq)
             )
-        else:
-            side = Side.BID if entry["md_entry_type"] == ENTRY_BID else Side.ASK
-            events.append(
-                BookUpdate(
-                    symbol=symbol,
-                    timestamp=transact_time,
-                    action=UpdateAction(entry["md_update_action"]),
-                    side=side,
-                    price=entry["md_entry_px"],
-                    volume=entry["md_entry_size"],
-                    sequence=entry["rpt_seq"],
-                )
-            )
+            continue
+        side = _BOOK_SIDES.get(entry_type)
+        if side is None:
+            raise ProtocolError(f"unknown md_entry_type {entry_type}")
+        update = _UPDATE_ACTIONS.get(action)
+        if update is None:
+            raise ProtocolError(f"unknown md_update_action {action}")
+        events.append(
+            BookUpdate(symbol, transact_time, update, side, price, size, rpt_seq)
+        )
     return transact_time, events

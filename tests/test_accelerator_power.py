@@ -73,6 +73,22 @@ class TestDVFSTable:
         with pytest.raises(AcceleratorError):
             DVFSTable().at_ghz(1.55)
 
+    def test_point_equality_and_hash_by_value(self):
+        # Equal, distinct points compare and hash alike, as the dataclass
+        # fields define them; other types are not equal.
+        for point in DVFSTable():
+            twin = OperatingPoint(point.freq_hz, point.voltage)
+            assert twin is not point
+            assert point == point and not point != point
+            assert twin == point and not twin != point
+            assert hash(twin) == hash(point)
+            assert hash(point) == hash((point.freq_hz, point.voltage))
+            assert point != OperatingPoint(point.freq_hz, point.voltage + 0.01)
+            assert point != OperatingPoint(point.freq_hz + 1.0, point.voltage)
+            assert point != (point.freq_hz, point.voltage)
+            assert point.__eq__("2.0 GHz") is NotImplemented
+        assert {OperatingPoint(1e9, 0.8): "a"}[OperatingPoint(1e9, 0.8)] == "a"
+
 
 class TestPowerModel:
     @pytest.fixture

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import OrderBookError, ProtocolError, SchedulingError
 from repro.lob import DepthSnapshot, Side
 from repro.market import generate_session
 from repro.pipeline import (
@@ -280,9 +280,9 @@ class TestFeedHandlerIntegration:
         mirror = handler.mirror("ESU6")
         mirror.apply(BookUpdate("ESU6", 1, UpdateAction.NEW, Side.BID, 18_000, 5, 1))
         mirror.apply(BookUpdate("ESU6", 2, UpdateAction.CHANGE, Side.BID, 18_000, 9, 2))
-        assert mirror.book.bids.level_at(18_000).volume == 9
+        assert dict(mirror.snapshot(2).bids)[18_000] == 9
         mirror.apply(BookUpdate("ESU6", 3, UpdateAction.DELETE, Side.BID, 18_000, 0, 3))
-        assert mirror.book.bids.is_empty
+        assert mirror.snapshot(3).bids == ()
 
     def test_trade_updates_last_trade(self):
         mirror = LocalBookMirror("ESU6")
@@ -356,7 +356,7 @@ class TestSequencedFeed:
         assert handler.on_sequenced_frame(frame) == []
         assert handler.sequence.duplicates == 1
         assert handler.suppressed_duplicates == 1
-        assert handler.mirror("ESU6").book.bids.level_at(18_000).volume == 5
+        assert dict(handler.mirror("ESU6").snapshot(0).bids)[18_000] == 5
 
     def test_gap_marks_mirror_stale_and_withholds_snapshots(self):
         handler, directory = self._handler()
@@ -371,7 +371,7 @@ class TestSequencedFeed:
         mirror = handler.mirror("ESU6")
         assert mirror.stale
         # Updates still applied (freshest data beats none).
-        assert mirror.book.bids.level_at(17_999).volume == 5
+        assert dict(mirror.snapshot(2).bids)[17_999] == 5
 
     def test_resync_from_snapshot_channel(self):
         handler, directory = self._handler()
@@ -392,8 +392,9 @@ class TestSequencedFeed:
         handler.on_snapshot("ESU6", authoritative)
         mirror = handler.mirror("ESU6")
         assert not mirror.stale
-        assert mirror.book.bids.level_at(18_000).volume == 9
-        assert mirror.book.asks.level_at(18_002).volume == 4
+        resynced = mirror.snapshot(6)
+        assert dict(resynced.bids)[18_000] == 9
+        assert dict(resynced.asks)[18_002] == 4
         assert mirror.last_trade_price == 18_001
         # Post-resync frames emit snapshots again.
         emitted = handler.on_sequenced_frame(
@@ -416,7 +417,48 @@ class TestSequencedFeed:
         mirror.apply(
             BookUpdate("ESU6", 2, UpdateAction.CHANGE, Side.BID, 18_000, 8, 2)
         )
-        assert mirror.book.bids.level_at(18_000).volume == 8
+        assert dict(mirror.snapshot(2).bids)[18_000] == 8
+
+    @staticmethod
+    def _healthy_mirror(stale):
+        mirror = LocalBookMirror("ESU6")
+        mirror.resync(
+            DepthSnapshot("ESU6", 1, 10, bids=((99, 3), (98, 1)), asks=((101, 2),))
+        )
+        if stale:
+            mirror.invalidate()
+        return mirror
+
+    @pytest.mark.parametrize("stale", [False, True])
+    @pytest.mark.parametrize(
+        "bids, asks, error",
+        [
+            (((100, 5), (100, 7)), ((102, 1),), ProtocolError),  # price repeated
+            (((100, 5),), ((102, 1), (103, 0), (102, 2)), ProtocolError),
+            (((98, 4), (0, 3)), ((102, 1),), OrderBookError),  # non-positive price
+            (((98, 4),), ((102, 1), (-1, 2)), OrderBookError),
+        ],
+    )
+    def test_rejected_resync_leaves_mirror_untouched(self, bids, asks, error, stale):
+        mirror = self._healthy_mirror(stale)
+        before = mirror.snapshot(5)
+        bad = DepthSnapshot("ESU6", 2, 10, bids, asks, last_trade_price=100)
+        with pytest.raises(error):
+            mirror.resync(bad)
+        assert mirror.snapshot(5) == before
+        assert mirror.stale is stale
+        # Incrementals still apply to the kept ladders.
+        mirror.apply(BookUpdate("ESU6", 3, UpdateAction.DELETE, Side.BID, 99, 0, 3))
+        assert mirror.snapshot(5).bids == ((98, 1),)
+
+    def test_resync_skips_empty_levels_at_any_price(self):
+        mirror = self._healthy_mirror(stale=True)
+        mirror.resync(
+            DepthSnapshot("ESU6", 2, 10, bids=((100, 5), (0, 0), (99, -1)), asks=())
+        )
+        assert not mirror.stale
+        assert mirror.snapshot(3).bids == ((100, 5),)
+        assert mirror.snapshot(3).asks == ()
 
 
 class TestSequenceTracker:

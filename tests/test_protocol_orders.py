@@ -1,5 +1,7 @@
 """Tests for FIX and iLink3 order-entry codecs and the packet parser."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.protocol import (
     frame_sofh,
     unframe_sofh,
 )
+from repro.protocol.ilink3 import SOFH_LEN
 
 
 class TestFixFraming:
@@ -167,6 +170,15 @@ class TestILink3:
         with pytest.raises(ProtocolError):
             ILink3Cancel.decode(order.encode())
 
+    def test_short_declared_root_block_rejected(self):
+        # The root block still has all its bytes, but a block length one
+        # short of the layout must not be read past.
+        data = bytearray(ILink3Order(1, 2, 3, 4, Side.BID, 1, 10).encode())
+        (block_length,) = struct.unpack_from("<H", data, SOFH_LEN)
+        struct.pack_into("<H", data, SOFH_LEN, block_length - 1)
+        with pytest.raises(ProtocolError, match="root block length"):
+            ILink3Order.decode(bytes(data))
+
 
 class TestPacketParser:
     @pytest.fixture
@@ -198,6 +210,54 @@ class TestPacketParser:
         __, parser = setup
         assert parser.parse_frame(b"garbage") is None
         assert parser.stats.frames_malformed == 1
+
+    @staticmethod
+    def _payload(directory, count=1):
+        events = [
+            BookUpdate("ESU6", 10, UpdateAction.NEW, Side.BID, 18_000 - i, 5, i)
+            for i in range(count)
+        ]
+        return bytearray(encode_market_events(events, directory, 10))
+
+    @staticmethod
+    def _assert_counted_malformed(parser, payload):
+        assert parser.parse_frame(encode_udp_frame(bytes(payload))) is None
+        assert parser.stats.frames_malformed == 1
+        assert parser.stats.events_decoded == 0
+
+    @pytest.mark.parametrize("length", [20, 16])
+    def test_short_root_block_counted_malformed(self, setup, length):
+        # Root block declared 8 bytes against the layout's 9.  With the
+        # whole message present the group header would be read one byte
+        # early; cut after the declared 8 the layout overruns the payload.
+        directory, parser = setup
+        payload = self._payload(directory, count=0)
+        struct.pack_into("<H", payload, 0, 8)
+        self._assert_counted_malformed(parser, payload[:length])
+
+    @pytest.mark.parametrize("trailing", [b"", b"\x00"])
+    def test_short_group_entry_counted_malformed(self, setup, trailing):
+        # Entries declared one byte short of the 23-byte layout; with a
+        # trailing byte the last one would silently borrow it.
+        directory, parser = setup
+        payload = self._payload(directory, count=2)
+        entries_at = 8 + 9 + 3
+        for i in (1, 0):
+            del payload[entries_at + 23 * i + 22]
+        struct.pack_into("<H", payload, entries_at - 3, 22)
+        self._assert_counted_malformed(parser, payload + trailing)
+
+    def test_unknown_update_action_counted_malformed(self, setup):
+        directory, parser = setup
+        payload = self._payload(directory)
+        payload[8 + 9 + 3 + 20] = 7  # md_update_action of the first entry
+        self._assert_counted_malformed(parser, payload)
+
+    def test_unknown_entry_type_counted_malformed(self, setup):
+        directory, parser = setup
+        payload = self._payload(directory)
+        payload[8 + 9 + 3 + 21] = ord("9")  # md_entry_type of the first entry
+        self._assert_counted_malformed(parser, payload)
 
     def test_no_subscription_filter_passes_all(self):
         directory = SecurityDirectory()
