@@ -9,11 +9,14 @@ single-book ops/s (reference vs array, per-op vs batch) and the batched
 multi-book scaling ratio.
 
 The market-generation section persists ``BENCH_market_gen.json`` the
-same way: deterministic ``lob.*`` counters from a pinned fast-path
-session (CI-diffed against its committed baseline), plus measured
-ticks/s for the fast vs reference generation loops, per-op book ops/s
-and the depth-snapshot capture cost.  Gates: fast >= 3x reference
-ticks/s, array per-op >= 1x reference per-op.
+same way: deterministic ``lob.*`` counters from a pinned session of the
+shipping generator (CI-diffed against its committed baseline), plus
+measured ticks/s for the shipping vs reference generation loops, per-op
+book ops/s and the depth-snapshot capture cost.  Gates: shipping >= 3x
+reference ticks/s, array per-op >= 1x reference per-op.
+
+The references are the golden models in ``tests/oracles/``: the
+object-per-order matching engine and the per-op generation loop.
 """
 
 import time
@@ -27,7 +30,6 @@ from repro.lob import (
     ArrayMatchingEngine,
     BatchedBooks,
     BookOps,
-    MatchingEngine,
     OpBatch,
     Order,
     OrderType,
@@ -36,7 +38,6 @@ from repro.lob import (
 )
 from repro.lob.array_matching import OP_CANCEL, OP_SUBMIT
 from repro.lob.batched import OP_LIMIT, OP_MARKET, OP_NOP, OP_REDUCE
-from repro.lob.snapshot import DepthSnapshot
 from repro.market import MarketConfig, MarketSimulator, cached_session, generate_session
 from repro.metrics import MetricRegistry
 from repro.metrics.manifest import build_manifest, write_manifest
@@ -49,6 +50,9 @@ from repro.protocol import (
     encode_udp_frame,
 )
 from repro.lob.events import BookUpdate, UpdateAction
+from tests.oracles.book import capture
+from tests.oracles.market import ReferenceMarketSimulator, reference_session
+from tests.oracles.matching import MatchingEngine
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +65,7 @@ def tape():
 
 def test_bench_matching_engine(benchmark):
     def run():
-        engine = MatchingEngine()
+        engine = ArrayMatchingEngine()
         rng = np.random.default_rng(0)
         for i in range(2_000):
             side = Side.BID if rng.uniform() < 0.5 else Side.ASK
@@ -296,8 +300,8 @@ def test_bench_lob_single_book(benchmark, record_table):
     assert speedup_batch >= 5.0, rates
 
 
-def test_bench_market_gen(benchmark, record_table, monkeypatch):
-    """Market generation: fast path vs reference loop, plus book hot paths.
+def test_bench_market_gen(benchmark, record_table):
+    """Market generation: shipping vs reference loop, plus book hot paths.
 
     Gates (calibrated on the reference container): the batch-kernel
     generation loop must clear 3x the reference loop's ticks/s
@@ -317,12 +321,12 @@ def test_bench_market_gen(benchmark, record_table, monkeypatch):
         # best-of-phase comparison.
         gen = {"fast": [], "reference": []}
         for _ in range(5):
-            for value, key in (("1", "fast"), ("0", "reference")):
-                monkeypatch.setenv("REPRO_MARKET_FAST", value)
+            for generate, key in (
+                (generate_session, "fast"),
+                (reference_session, "reference"),
+            ):
                 t0 = time.perf_counter()
-                tape = generate_session(
-                    duration_s=MARKET_GEN_DURATION_S, seed=MARKET_GEN_SEED
-                )
+                tape = generate(duration_s=MARKET_GEN_DURATION_S, seed=MARKET_GEN_SEED)
                 gen[key].append(len(tape) / (time.perf_counter() - t0))
         rates["fast_ticks_per_s"] = max(gen["fast"])
         rates["reference_ticks_per_s"] = max(gen["reference"])
@@ -345,22 +349,20 @@ def test_bench_market_gen(benchmark, record_table, monkeypatch):
         book = engine.book("ES")
         t0 = time.perf_counter()
         for _ in range(5_000):
-            DepthSnapshot.capture(book, timestamp=0)
+            capture(book, timestamp=0)
         rates["snapshot_capture_us"] = (time.perf_counter() - t0) / 5_000 * 1e6
         return rates
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    # Deterministic manifest run: the pinned session under both paths
+    # Deterministic manifest run: the pinned session under both loops
     # must agree checksum-for-checksum and metric-for-metric.
-    monkeypatch.setenv("REPRO_MARKET_FAST", "1")
     registry = MetricRegistry()
     tape_fast = MarketSimulator(
         MarketConfig(), seed=MARKET_GEN_SEED, metrics=registry
     ).generate(MARKET_GEN_DURATION_S)
-    monkeypatch.setenv("REPRO_MARKET_FAST", "0")
     reference_registry = MetricRegistry()
-    tape_reference = MarketSimulator(
+    tape_reference = ReferenceMarketSimulator(
         MarketConfig(), seed=MARKET_GEN_SEED, metrics=reference_registry
     ).generate(MARKET_GEN_DURATION_S)
     digest = _fold_tape(tape_fast)
@@ -374,16 +376,13 @@ def test_bench_market_gen(benchmark, record_table, monkeypatch):
         f"Market generation ({MARKET_GEN_DURATION_S:.0f}s session, "
         f"seed {MARKET_GEN_SEED}, {len(tape_fast)} ticks)\n"
         f"  reference loop: {rates['reference_ticks_per_s']:,.0f} ticks/s\n"
-        f"  fast path:      {rates['fast_ticks_per_s']:,.0f} ticks/s"
+        f"  shipping path:  {rates['fast_ticks_per_s']:,.0f} ticks/s"
         f"  ({speedup:.1f}x)\n"
         f"  per-op book:    array {rates['array_per_op']:,.0f} vs "
         f"reference {rates['reference_per_op']:,.0f} ops/s"
         f"  ({per_op_ratio:.2f}x)\n"
         f"  snapshot capture: {rates['snapshot_capture_us']:.1f} us",
     )
-    # The committed baseline's env section is all-null; drop the values
-    # this test pinned so the manifests diff clean.
-    monkeypatch.delenv("REPRO_MARKET_FAST", raising=False)
     manifest = build_manifest(
         run={
             "system": "market",

@@ -4,13 +4,15 @@ Two layers are measured and persisted to
 ``benchmarks/results/BENCH_sim_speed.json``:
 
 1. **Sweep decision rate** — ``WorkloadScheduler.decide()`` throughput,
-   vectorized grid path vs the reference Algorithm-1 loop, over a fixed
-   randomized mix of sweep situations.
+   vectorized grid path vs the reference Algorithm-1 loop
+   (``tests/oracles/scheduler.py``), over a fixed randomized mix of sweep
+   situations.
 2. **End-to-end event loop** — the Fig. 11 + Fig. 13 reproduction grid
-   at ``jobs=1``, fast event loop (``REPRO_FAST_LOOP`` default: batched
-   admission, decision memoization, allocation-free telemetry) vs the
-   reference event loop (``REPRO_FAST_LOOP=0``).  Single-core on purpose:
-   the ratio isolates the event-loop overhaul from the process pool.
+   at ``jobs=1``, the shipping event loop (batched admission, decision
+   memoization, allocation-free telemetry) vs the reference event loop
+   (``tests/oracles/backtest.py``, patched into the inline runner).
+   Single-core on purpose: the ratio isolates the event-loop overhaul
+   from the process pool.
 
 Both loops must produce identical figure results; that equality is
 asserted unconditionally.  The speed gates: fast ≥ 1.5x the reference
@@ -26,6 +28,7 @@ import time
 
 import numpy as np
 
+import repro.bench.runner
 from conftest import RESULTS_DIR
 from repro.accelerator.power import DVFSTable
 from repro.baselines import lighttrader_profile
@@ -35,6 +38,8 @@ from repro.metrics import MetricRegistry
 from repro.metrics.manifest import build_manifest, write_manifest
 from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.workload_cache import cached_synthetic_workload
+from tests.oracles.backtest import ReferenceBacktester
+from tests.oracles.scheduler import ReferenceScheduler
 
 # The canonical manifest run: pinned duration/seed/config so the metric
 # summaries (and hence the committed baseline diff) are byte-stable
@@ -74,8 +79,8 @@ class TestSweepDecisionRate:
         profile = lighttrader_profile()
         table = DVFSTable(cap_hz=2.2e9)
         situations = _decision_situations()
-        vec = WorkloadScheduler(profile, table, vectorized=True)
-        ref = WorkloadScheduler(profile, table, vectorized=False)
+        vec = WorkloadScheduler(profile, table)
+        ref = ReferenceScheduler(profile, table)
 
         rates = {}
 
@@ -123,7 +128,9 @@ def _grid_runs(counts) -> int:
 
 
 class TestEndToEndFigurePath:
-    def test_bench_fig_path_fast_vs_reference_loop(self, benchmark, record_table):
+    def test_bench_fig_path_fast_vs_reference_loop(
+        self, benchmark, record_table, monkeypatch
+    ):
         duration = min(bench_duration_s(), 15.0)
         counts = (1, 2)
         cpus = os.cpu_count() or 1
@@ -140,16 +147,16 @@ class TestEndToEndFigurePath:
             # Reference event loop: heap-merged arrivals, per-event
             # scheduler decisions, per-query telemetry objects.  Same
             # vectorized sweep and warm workload cache as the fast side,
-            # so the ratio isolates the event-loop overhaul.
-            os.environ["REPRO_FAST_LOOP"] = "0"
-            try:
+            # so the ratio isolates the event-loop overhaul.  The grid
+            # runs inline at jobs=1, so patching the runner's Backtester
+            # swaps the pump for every run.
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.bench.runner, "Backtester", ReferenceBacktester)
                 headline_workload(duration)  # warm the shared cache
                 t0 = time.perf_counter()
                 results["fig11_ref"], results["fig13_ref"] = fig_path()
                 timings["reference_s"].append(time.perf_counter() - t0)
-            finally:
-                os.environ.pop("REPRO_FAST_LOOP", None)
-            # Fast event loop (the default): batched admission, decision
+            # Shipping event loop: batched admission, decision
             # memoization, allocation-free hot path.
             t0 = time.perf_counter()
             results["fig11_fast"], results["fig13_fast"] = fig_path()
@@ -178,9 +185,9 @@ class TestEndToEndFigurePath:
         record_table(
             "sim_speed_e2e",
             "Fig. 11+13 grid, single core (jobs=1)\n"
-            f"  reference loop (REPRO_FAST_LOOP=0): {timings['reference_s']:.2f} s"
+            f"  reference loop (tests/oracles): {timings['reference_s']:.2f} s"
             f"  ({qps_reference:,.0f} queries/s)\n"
-            f"  fast loop (default):                {timings['fast_s']:.2f} s"
+            f"  fast loop (shipping):           {timings['fast_s']:.2f} s"
             f"  ({qps_fast:,.0f} queries/s)\n"
             f"  fast vs reference: {speedup:.2f}x   ({cpus} CPU(s) available)\n"
             f"  fast vs committed baseline ({BASELINE_QUERIES_PER_S:,.0f} q/s): "

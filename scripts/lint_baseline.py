@@ -29,8 +29,8 @@ BASELINE = Path("benchmarks/results/lint_baseline.json")
 
 def current_stats() -> dict:
     roots = [Path(p) for p in DEFAULT_PATHS if Path(p).exists()]
-    # DEFAULT_PATHS covers src/, so the facts already span every parity
-    # pair — the project rules (RL006–RL009) see the whole tree.
+    # DEFAULT_PATHS covers src/, so the project rules (RL007–RL009)
+    # see the whole tree.
     result = analyze_paths(roots)
     findings = list(result.findings)
     findings.extend(project_findings_for(list(result.facts)))

@@ -51,7 +51,7 @@ from repro.baselines import (
 )
 from repro.compiler import CompiledProgram, compile_model
 from repro.core import DVFSScheduler, WorkloadScheduler, ppw
-from repro.lob import DepthSnapshot, LimitOrderBook, MatchingEngine, Order, Side
+from repro.lob import DepthSnapshot, Order, Side
 from repro.market import (
     HawkesParams,
     MarketSimulator,
@@ -104,9 +104,7 @@ __all__ = [
     "HawkesParams",
     "HorizonDeadline",
     "LightTraderProfile",
-    "LimitOrderBook",
     "MarketSimulator",
-    "MatchingEngine",
     "Model",
     "ModelCost",
     "NormalizationStats",

@@ -29,7 +29,6 @@ process-wide default (1 = serial).
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -83,9 +82,7 @@ _BACKOFF_CAP_S = 5.0
 def _backoff_s(rebuild: int) -> float:
     """Sleep before pool rebuild number ``rebuild`` (1-based)."""
     return min(_BACKOFF_BASE_S * (2.0 ** (rebuild - 1)), _BACKOFF_CAP_S)
-# Test hook: a file whose content names a run; executing that run removes
-# the file and kills the worker process (simulating an OOM kill / segv).
-BENCH_CRASH_FILE_ENV = envcfg.BENCH_CRASH_FILE.name
+
 
 _PROFILE_FACTORIES = {
     "lighttrader": lighttrader_profile,
@@ -183,24 +180,8 @@ def profile_for(name: str) -> SystemProfile:
     return profile
 
 
-def _maybe_crash(spec: RunSpec) -> None:
-    """Kill this worker if the crash-hook file names ``spec`` (tests only)."""
-    crash_file = envcfg.get_path(BENCH_CRASH_FILE_ENV)
-    if not crash_file or not os.path.exists(crash_file):
-        return
-    try:
-        with open(crash_file) as handle:
-            target = handle.read().strip()
-    except OSError:
-        return
-    if target == spec.run_name:
-        os.remove(crash_file)  # consume: the retry of this spec survives
-        os._exit(13)
-
-
 def execute_run(spec: RunSpec) -> RunResult:
     """Run one spec (the process-pool work item)."""
-    _maybe_crash(spec)
     profile = profile_for(spec.profile)
     if spec.extra_costs:
         if not isinstance(profile, LightTraderProfile):

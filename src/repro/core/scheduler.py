@@ -7,18 +7,13 @@ both the available time and the power budget, and commits the candidate
 with the highest PPW.  If no pair is feasible the oldest input tensor is
 removed from the offload engine (deferred to the conventional pipeline).
 
-Two sweep implementations coexist:
-
-- the **vectorized** sweep (default) ranks the candidates of a
-  precomputed :class:`~repro.core.sweepgrid.SweepGrid` once per queue
-  depth and picks the first feasible one, and
-- the **reference** loop, the line-for-line Algorithm 1 transcription,
-  kept as the golden model (``REPRO_SWEEP_REFERENCE=1`` or
-  ``vectorized=False`` selects it).
-
-Both are decision-for-decision identical — same candidate, same
-tie-breaking, same decision-log counts — which the sweep-parity tests
-enforce over randomized profiles, deadlines and budgets.
+The sweep ranks the candidates of a precomputed
+:class:`~repro.core.sweepgrid.SweepGrid` once per queue depth and picks
+the first feasible one.  The line-for-line Algorithm 1 transcription it
+replaced is kept as the golden model in ``tests/oracles/scheduler.py``;
+the sweep-parity tests hold the two decision-for-decision identical —
+same candidate, same tie-breaking, same decision-log counts — over
+randomized profiles, deadlines and budgets.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import envcfg
 from repro.accelerator.power import DVFSTable, OperatingPoint
 from repro.baselines.profiles import LightTraderProfile
 from repro.core.ppw import ppw
@@ -39,18 +33,11 @@ from repro.hotpath import hot_path
 if TYPE_CHECKING:
     from repro.telemetry.decisions import DecisionLog
 
-# Set to "1" to force the reference (golden-model) Algorithm-1 loop.
-SWEEP_REFERENCE_ENV = envcfg.SWEEP_REFERENCE.name
-
 # Decision-memo size cap: steady-state traffic produces a handful of
 # distinct (depth, floor, cap, budget) signatures, so hitting the cap
 # means the keys are churning (e.g. continuously-varying budgets) and
 # caching is not paying for itself — flush and start over.
 MEMO_MAX_ENTRIES = 4096
-
-
-def _vectorized_default() -> bool:
-    return not envcfg.get_bool(SWEEP_REFERENCE_ENV)
 
 
 # One queue depth's candidates, best first: (t_total_ns, col, power_w,
@@ -121,11 +108,8 @@ class WorkloadScheduler:
     # Telemetry decision log; when None every sweep runs the uninstrumented
     # fast path (no per-candidate counting).
     log: "DecisionLog | None" = field(default=None, compare=False)
-    # False selects the reference Algorithm-1 loop (golden model);
-    # REPRO_SWEEP_REFERENCE=1 flips the default process-wide.
-    vectorized: bool = field(default_factory=_vectorized_default)
     # Per-(model, floor, cap) filtered sweep tables plus their candidate
-    # rankings by queue depth (vectorized path only).
+    # rankings by queue depth.
     _grids: "dict[tuple[str, float, float | None], _Tables]" = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -167,13 +151,6 @@ class WorkloadScheduler:
             raise SchedulingError("max_batch must be positive")
         if self.metric not in ("ppw", "latency", "throughput"):
             raise SchedulingError(f"unknown scheduling metric {self.metric!r}")
-
-    def _score(self, batch_size: int, t_total: int, power: float) -> float:
-        if self.metric == "ppw":
-            return ppw(batch_size, t_total, power)
-        if self.metric == "latency":
-            return -float(t_total)
-        return batch_size / (t_total / 1e9)  # throughput
 
     def decide(
         self,
@@ -289,8 +266,8 @@ class WorkloadScheduler:
         cap-filtered grid)`` away, every such check passes regardless of
         ``now``, so the sweep outcome (and its rejection counts) is a pure
         function of (model, queue depth, floor, cap, budget) — the memo
-        key.  Outside that slack regime, or on the reference sweep path,
-        this falls back to a full :meth:`decide`.  Keys carry the *exact*
+        key.  Outside that slack regime this falls back to a full
+        :meth:`decide`.  Keys carry the *exact*
         float budget: a reclaim-perturbed budget simply misses.
         """
         if not deadlines:
@@ -335,18 +312,14 @@ class WorkloadScheduler:
 
     def _memo_horizon(self, model: str, cap_freq_hz: "float | None") -> int:
         """Memo validity horizon (ns) for (model, cap), or -1 when the
-        memo cannot be used (reference sweep path / no grid / empty cap
-        filter)."""
+        memo cannot be used (empty cap filter)."""
         key = (model, cap_freq_hz)
         horizon = self._horizons.get(key)
         if horizon is None:
             # Floor 0.0: the horizon must cover the floor-relaxed retry
             # sweep, which considers every point at or under the cap.
-            tables = self._tables(model, 0.0, cap_freq_hz)
-            if tables is None or tables[1].size == 0:
-                horizon = -1
-            else:
-                horizon = int(tables[1].max())
+            t_total = self._tables(model, 0.0, cap_freq_hz)[1]
+            horizon = int(t_total.max()) if t_total.size else -1
             self._horizons[key] = horizon
         return horizon
 
@@ -360,68 +333,9 @@ class WorkloadScheduler:
         cap_freq_hz: "float | None",
         stats: "dict[str, int] | None" = None,
     ) -> ScheduleDecision | None:
-        tables = self._tables(model, floor_freq_hz, cap_freq_hz)
-        if tables is None:
-            return self._sweep_reference(
-                model, now, tightest, power_budget_w, floor_freq_hz, cap_freq_hz, stats
-            )
-        return self._sweep_vectorized(tables, now, tightest, power_budget_w, stats)
-
-    def _tables(
-        self, model: str, floor_freq_hz: float, cap_freq_hz: "float | None" = None
-    ) -> "_Tables | None":
-        """Floor/cap-filtered (points, t_total, power, score, ranked)
-        tables, or None when this scheduler is on the reference path.
-
-        Scores are sweep-invariant (pure functions of the grid), so they
-        are materialised here once per (model, floor, cap) rather than
-        per issue; ``ranked`` fills in per queue depth on first use.
-        """
-        if not self.vectorized:
-            return None
-        key = (model, floor_freq_hz, cap_freq_hz)
-        tables = self._grids.get(key)
-        if tables is None:
-            builder = getattr(self.profile, "sweep_grid", None)
-            if builder is None:  # profile without precomputed tables
-                return None
-            grid: SweepGrid = builder(model, self.table, self.max_batch)
-            keep = np.ones(len(grid.points), dtype=bool)
-            if floor_freq_hz > 0.0:
-                keep &= grid.freq_hz >= floor_freq_hz
-            if cap_freq_hz is not None:
-                keep &= grid.freq_hz <= cap_freq_hz + 1e-3
-            if keep.all():
-                points = grid.points
-                t_total = grid.t_total_ns
-                power = grid.power_w
-            else:
-                rows = np.flatnonzero(keep)
-                points = tuple(grid.points[i] for i in rows)
-                t_total = grid.t_total_ns[rows]
-                power = grid.power_w[rows]
-            # Scores reproduce the scalar _score() float operations exactly
-            # (same operands, same IEEE op order), just elementwise.
-            batches = np.arange(1, self.max_batch + 1, dtype=np.float64)
-            if self.metric == "ppw":
-                score = batches / ((t_total / 1e9) * power)
-            elif self.metric == "latency":
-                score = -t_total.astype(np.float64)
-            else:  # throughput
-                score = batches / (t_total / 1e9)
-            tables = (points, t_total, power, score, {})
-            self._grids[key] = tables
-        return tables
-
-    def _sweep_vectorized(
-        self,
-        tables: _Tables,
-        now: int,
-        tightest: "list[int]",
-        power_budget_w: float,
-        stats: "dict[str, int] | None",
-    ) -> ScheduleDecision | None:
-        points, t_grid, p_grid, score_grid, ranked = tables
+        points, t_grid, p_grid, __, ranked = tables = self._tables(
+            model, floor_freq_hz, cap_freq_hz
+        )
         n_batches = len(tightest)
         if stats is not None:
             # Rejection counts only; the pick below does not read them.
@@ -447,47 +361,45 @@ class WorkloadScheduler:
                 )
         return None
 
-    def _sweep_reference(
-        self,
-        model: str,
-        now: int,
-        tightest: "list[int]",
-        power_budget_w: float,
-        floor_freq_hz: float,
-        cap_freq_hz: "float | None" = None,
-        stats: "dict[str, int] | None" = None,
-    ) -> ScheduleDecision | None:
-        best: ScheduleDecision | None = None
-        for point in self.table:
-            if point.freq_hz < floor_freq_hz:
-                continue
-            if cap_freq_hz is not None and point.freq_hz > cap_freq_hz + 1e-3:
-                continue
-            for batch_size in range(1, len(tightest) + 1):
-                if stats is not None:
-                    stats["considered"] += 1
-                t_total = self.profile.t_total_ns(model, point, batch_size)
-                if now + t_total > tightest[batch_size - 1]:
-                    if stats is not None:
-                        stats["deadline"] += 1
-                    continue  # would miss a deadline inside the batch
-                power = self.profile.power_w(model, point, batch_size)
-                if power > power_budget_w:
-                    if stats is not None:
-                        stats["power"] += 1
-                    continue
-                if stats is not None:
-                    stats["feasible"] += 1
-                score = self._score(batch_size, t_total, power)
-                if best is None or score > best.ppw:
-                    best = ScheduleDecision(
-                        point=point,
-                        batch_size=batch_size,
-                        t_total_ns=t_total,
-                        power_w=power,
-                        ppw=score,
-                    )
-        return best
+    def _tables(
+        self, model: str, floor_freq_hz: float, cap_freq_hz: "float | None" = None
+    ) -> _Tables:
+        """Floor/cap-filtered (points, t_total, power, score, ranked) tables.
+
+        Scores are sweep-invariant (pure functions of the grid), so they
+        are materialised here once per (model, floor, cap) rather than
+        per issue; ``ranked`` fills in per queue depth on first use.
+        """
+        key = (model, floor_freq_hz, cap_freq_hz)
+        tables = self._grids.get(key)
+        if tables is None:
+            grid: SweepGrid = self.profile.sweep_grid(model, self.table, self.max_batch)
+            keep = np.ones(len(grid.points), dtype=bool)
+            if floor_freq_hz > 0.0:
+                keep &= grid.freq_hz >= floor_freq_hz
+            if cap_freq_hz is not None:
+                keep &= grid.freq_hz <= cap_freq_hz + 1e-3
+            if keep.all():
+                points = grid.points
+                t_total = grid.t_total_ns
+                power = grid.power_w
+            else:
+                rows = np.flatnonzero(keep)
+                points = tuple(grid.points[i] for i in rows)
+                t_total = grid.t_total_ns[rows]
+                power = grid.power_w[rows]
+            # Scores reproduce the reference loop's scalar float operations
+            # exactly (same operands, same IEEE op order), just elementwise.
+            batches = np.arange(1, self.max_batch + 1, dtype=np.float64)
+            if self.metric == "ppw":
+                score = batches / ((t_total / 1e9) * power)
+            elif self.metric == "latency":
+                score = -t_total.astype(np.float64)
+            else:  # throughput
+                score = batches / (t_total / 1e9)
+            tables = (points, t_total, power, score, {})
+            self._grids[key] = tables
+        return tables
 
     def deadline_feasible(self, model: str, now: int, deadline: int) -> bool:
         """True if ANY operating point could serve a batch-1 inference by

@@ -8,18 +8,13 @@ what makes the configuration surface enumerable, documents it in one
 place, and lets ``python -m repro.lint --env-table`` regenerate the
 EXPERIMENTS.md table instead of letting prose drift from code.
 
-Semantics are pinned per variable, not per type:
-
-- boolean variables keep their historical parse direction — a
-  default-on switch (``REPRO_FAST_LOOP``) turns off only on an explicit
-  false token (``0``/``false``/``no``), while a default-off switch
-  (``REPRO_SWEEP_REFERENCE``) turns on only on an explicit true token
-  (``1``/``true``/``yes``);
-- numeric variables declare bounds (always clamped into range, the way
-  ``REPRO_BENCH_JOBS=0`` has always meant 1) and a parse-error policy:
-  ``default`` falls back silently on junk (trace level must never crash
-  a run), ``raise`` refuses to start with a misconfigured grid (worker
-  counts, retry budgets).
+Variables are ``int``, ``float`` or ``path`` valued.  Numeric variables
+declare bounds (always clamped into range, the way ``REPRO_BENCH_JOBS=0``
+has always meant 1) and a parse-error policy: ``default`` falls back
+silently on junk (trace level must never crash a run), ``raise`` refuses
+to start with a misconfigured grid (worker counts, retry budgets).  No
+variable selects an implementation: every code path that ships is the
+one that runs.
 
 Reads are intentionally *not* cached: tests and the benchmark drivers
 flip these variables mid-process.
@@ -37,8 +32,6 @@ __all__ = [
     "EnvVar",
     "declared",
     "env_table_markdown",
-    "get_bool",
-    "get_choice",
     "get_float",
     "get_int",
     "get_path",
@@ -47,16 +40,13 @@ __all__ = [
     "raw",
 ]
 
-_FALSE_TOKENS = ("0", "false", "no")
-_TRUE_TOKENS = ("1", "true", "yes")
-
 
 @dataclass(frozen=True)
 class EnvVar:
     """Declaration of one ``REPRO_*`` environment variable."""
 
     name: str
-    kind: str  # 'bool' | 'int' | 'float' | 'path' | 'choice'
+    kind: str  # 'int' | 'float' | 'path'
     default: object
     doc: str
     minimum: float | None = None
@@ -65,41 +55,21 @@ class EnvVar:
     # 'default' (silently fall back).  Out-of-range numerics always
     # clamp into [minimum, maximum].
     on_error: str = "raise"
-    # The closed token set of a 'choice' variable (lowercase).
-    choices: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bool", "int", "float", "path", "choice"):
+        if self.kind not in ("int", "float", "path"):
             raise ValueError(f"unknown envcfg kind {self.kind!r}")
         if self.on_error not in ("raise", "default"):
             raise ValueError(f"unknown envcfg error policy {self.on_error!r}")
         if not self.name.startswith("REPRO_"):
             raise ValueError(f"environment variable {self.name!r} must be REPRO_*")
-        if self.kind == "choice":
-            if not self.choices:
-                raise ValueError(f"choice variable {self.name} declares no choices")
-            if self.default not in self.choices:
-                raise ValueError(
-                    f"{self.name} default {self.default!r} not in {self.choices}"
-                )
-        elif self.choices is not None:
-            raise ValueError(f"{self.name} is {self.kind!r} but declares choices")
 
     @property
     def default_text(self) -> str:
         """Rendering of the default for the generated table."""
         if self.default is None:
             return "unset"
-        if self.kind == "bool":
-            return "on" if self.default else "off"
         return f"{self.default:g}" if self.kind == "float" else str(self.default)
-
-    @property
-    def kind_text(self) -> str:
-        """Rendering of the kind for the generated table."""
-        if self.kind == "choice" and self.choices:
-            return "|".join(self.choices)
-        return self.kind
 
 
 _REGISTRY: dict[str, EnvVar] = {}
@@ -134,27 +104,6 @@ TRACE_LEVEL = _declare(
         minimum=0,
         maximum=2,
         on_error="default",
-    )
-)
-
-FAST_LOOP = _declare(
-    EnvVar(
-        "REPRO_FAST_LOOP",
-        "bool",
-        True,
-        "Fast back-test event loop (batched admission, decision memo, "
-        "lazy queries). Set 0/false/no to force the bit-identical "
-        "reference pump.",
-    )
-)
-
-SWEEP_REFERENCE = _declare(
-    EnvVar(
-        "REPRO_SWEEP_REFERENCE",
-        "bool",
-        False,
-        "Set 1/true/yes to force the line-for-line Algorithm-1 sweep "
-        "loop (golden model) instead of the vectorized grid.",
     )
 )
 
@@ -215,16 +164,6 @@ BENCH_TIMEOUT_S = _declare(
     )
 )
 
-BENCH_CRASH_FILE = _declare(
-    EnvVar(
-        "REPRO_BENCH_CRASH_FILE",
-        "path",
-        None,
-        "Test hook: a file naming one run; executing that run consumes "
-        "the file and kills the worker (simulated OOM/segfault).",
-    )
-)
-
 METRICS = _declare(
     EnvVar(
         "REPRO_METRICS",
@@ -251,35 +190,6 @@ METRICS_FLUSH_NS = _declare(
         "end-of-run snapshot is always available via the run manifest.",
         minimum=0,
         on_error="default",
-    )
-)
-
-LOB_ENGINE = _declare(
-    EnvVar(
-        "REPRO_LOB_ENGINE",
-        "choice",
-        "array",
-        "Limit-order-book engine: 'array' (struct-of-arrays book and "
-        "batch matching kernels, the default) or 'reference' (the "
-        "object-per-order golden model). Both produce bit-identical "
-        "fills, events and sequence numbers — the lob-parity CI gate "
-        "holds them to it.",
-        choices=("reference", "array"),
-    )
-)
-
-MARKET_FAST = _declare(
-    EnvVar(
-        "REPRO_MARKET_FAST",
-        "bool",
-        True,
-        "Market-generator fast path: agents plan plain-int ops executed "
-        "through the array book's checkout/commit replay kernel instead "
-        "of per-call submit/cancel. Produces byte-identical tapes to "
-        "the reference loop (CI-gated via tape sha256); 0/false/no "
-        "falls back to the reference loop. Only the array engine has a "
-        "fast path — under REPRO_LOB_ENGINE=reference the reference "
-        "loop always runs.",
     )
 )
 
@@ -392,17 +302,6 @@ def get_path(name: str) -> str | None:
     return value if value else None
 
 
-def get_bool(name: str) -> bool:
-    """A boolean variable, parsed in its declared default direction."""
-    var = lookup(name)
-    if var.kind != "bool":
-        raise SimulationError(f"{name} is declared {var.kind}, not bool")
-    token = os.environ.get(name, "").strip().lower()
-    if var.default:
-        return token not in _FALSE_TOKENS
-    return token in _TRUE_TOKENS
-
-
 def _bounded(var: EnvVar, value: float) -> float:
     if var.minimum is not None:
         value = max(value, var.minimum)
@@ -451,28 +350,6 @@ def get_float(name: str, default: float | None = None) -> float:
     return _bounded(var, parsed)
 
 
-def get_choice(name: str) -> str:
-    """A choice variable: one token from its declared closed set.
-
-    The raw value is matched case-insensitively.  An unknown token
-    follows the variable's ``on_error`` policy (raise or fall back to
-    the default), like the numeric accessors.
-    """
-    var = lookup(name)
-    if var.kind != "choice":
-        raise SimulationError(f"{name} is declared {var.kind}, not choice")
-    assert var.choices is not None
-    value = os.environ.get(name)
-    if not value:
-        return str(var.default)
-    token = value.strip().lower()
-    if token in var.choices:
-        return token
-    if var.on_error == "raise":
-        raise SimulationError(f"{name} must be one of {var.choices}, got {value!r}")
-    return str(var.default)
-
-
 def env_table_markdown() -> str:
     """The EXPERIMENTS.md environment-variable table, generated.
 
@@ -485,6 +362,6 @@ def env_table_markdown() -> str:
     ]
     for var in declared():
         lines.append(
-            f"| `{var.name}` | {var.kind_text} | {var.default_text} | {var.doc} |"
+            f"| `{var.name}` | {var.kind} | {var.default_text} | {var.doc} |"
         )
     return "\n".join(lines)

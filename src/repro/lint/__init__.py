@@ -1,7 +1,7 @@
 """``repro.lint`` — AST-based checker for the project's invariants.
 
-Every guarantee the reproduction makes — byte-identical fast-vs-reference
-event loops, bit-transparent fault replay, sweep-table parity — rests on
+Every guarantee the reproduction makes — byte-identical back-tests and
+tapes, bit-transparent fault replay, seeded RNG streams — rests on
 conventions no unit test can see: simulator code must not read wall
 clocks or global RNG state, time/frequency/power identifiers carry unit
 suffixes that must not mix, ``REPRO_*`` configuration goes through

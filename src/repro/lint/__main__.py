@@ -1,8 +1,8 @@
 """Command-line driver: ``python -m repro.lint``.
 
 Runs the per-file rules (RL001–RL005) over the requested paths and the
-whole-program rules (RL006–RL009) over the project model, which is
-always built from the full ``src/`` tree so cross-module drift is
+whole-program rules (RL007–RL009) over the project model, which is
+always built from the full ``src/`` tree so cross-module findings are
 caught even when only one file is being linted.  The incremental cache
 (``REPRO_LINT_CACHE`` / ``--cache``) makes that full-model build cheap
 on warm runs.
@@ -87,9 +87,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-based checker for the project's determinism, "
-        "unit-safety, env-config, hot-path and fast/reference-parity "
+        "unit-safety, env-config, hot-path, RNG-stream and fork-safety "
         "invariants. Per-file rules run on the requested paths; "
-        "project rules (RL006-RL009) always see the whole src/ tree.",
+        "project rules (RL007-RL009) always see the whole src/ tree.",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -197,9 +197,9 @@ def main(argv: list[str] | None = None) -> int:
     requested_facts = list(result.facts)
     files = result.files_scanned
 
-    # Project rules need both sides of every parity pair: widen the
-    # facts to the full src tree (cheap when cached) unless it is
-    # already covered by the requested paths.
+    # Project rules follow calls across modules: widen the facts to the
+    # full src tree (cheap when cached) unless it is already covered by
+    # the requested paths.
     src_root = Path("src")
     covered = {f.path for f in facts}
     if src_root.is_dir():

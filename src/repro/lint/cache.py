@@ -5,7 +5,7 @@ plus :mod:`~repro.lint.facts` extraction) is a pure function of a
 file's bytes, so it is cached under a key hashing the *content*, the
 *path* and the *engine version* (a digest of the lint package's own
 sources — editing a rule invalidates everything).  The project half
-(RL006–RL009) rebuilds its model every run from the per-file facts —
+(RL007–RL009) rebuilds its model every run from the per-file facts —
 cached or fresh — which is two orders of magnitude cheaper than
 parsing, so a warm run over an unchanged tree does no ``ast.parse`` at
 all.
@@ -240,7 +240,7 @@ def analyze_paths(
 
 
 def project_findings_for(facts: list[ModuleFacts]) -> list[Finding]:
-    """Cross-module findings (RL006–RL009) over already-extracted facts."""
+    """Cross-module findings (RL007–RL009) over already-extracted facts."""
     from repro.lint.project import build_model
     from repro.lint.project_rules import project_rule_findings
 

@@ -1,9 +1,9 @@
-"""Struct-of-arrays limit order book (the array-native fast engine's state).
+"""Struct-of-arrays limit order book (the matching engine's state).
 
-Where :class:`repro.lob.book.LimitOrderBook` keeps one Python object per
-order (``Order`` dataclasses in per-level ``OrderedDict`` queues), this
-module keeps the whole book in a handful of parallel columns, JAX-LOB
-style:
+Where the object-per-order reference book (``tests/oracles/book.py``)
+keeps one Python object per order (``Order`` dataclasses in per-level
+``OrderedDict`` queues), this module keeps the whole book in a handful
+of parallel columns, JAX-LOB style:
 
 - an :class:`OrderSlab` — fixed-capacity (doubling) parallel int columns
   ``price/qty/side/owner/entry_time`` plus intrusive ``next/prev`` links
@@ -22,12 +22,11 @@ out).  Plain lists keep the same packed struct-of-arrays layout — and
 the batch kernel's checkout/commit becomes cheap list copies instead of
 ``tolist``/``asarray`` round-trips.
 
-The book exposes the same read surface as the reference
+The book exposes the reference book's read surface
 (``best_bid``/``best_ask``/``mid_price``/``spread``/``is_crossed``/
-``__contains__``/``top``), so :class:`repro.lob.snapshot.DepthSnapshot`
-and the market agents work against either engine unchanged.  All trading
-semantics live in :class:`repro.lob.array_matching.ArrayMatchingEngine`,
-mirroring the book/matching split of the reference implementation.
+``__contains__``/``top``), so the gateway and the parity tests read
+either book the same way.  All trading semantics live in
+:class:`repro.lob.array_matching.ArrayMatchingEngine`.
 """
 
 from __future__ import annotations
@@ -54,9 +53,9 @@ _TIFS = (TimeInForce.DAY, TimeInForce.IOC, TimeInForce.FOK)
 class LevelView(NamedTuple):
     """One price level as seen through ``iter_best_first`` (read-only).
 
-    Mirrors the attribute surface tests and agents read off the
-    reference :class:`~repro.lob.book.PriceLevel` (``price``,
-    ``volume``) plus the level's resting-order ``count``.
+    Mirrors the attribute surface tests read off the reference book's
+    ``PriceLevel`` (``price``, ``volume``) plus the level's
+    resting-order ``count``.
     """
 
     price: int
@@ -354,9 +353,9 @@ class ArraySide:
 class ArrayBook:
     """A full two-sided struct-of-arrays book for one symbol.
 
-    Mirrors :class:`repro.lob.book.LimitOrderBook`'s read surface so
-    snapshots, agents and the gateway are engine-agnostic; mutation goes
-    through the slot-level operations the array matching engine drives.
+    Mirrors the reference ``LimitOrderBook``'s read surface; mutation
+    goes through the slot-level operations the array matching engine
+    drives.
     """
 
     def __init__(self, symbol: str, capacity: int = 1024) -> None:

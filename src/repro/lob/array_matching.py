@@ -1,20 +1,21 @@
-"""Array-native matching engine: bit-exact fast path over the SoA book.
+"""Array-native matching engine: price–time priority over the SoA book.
 
-:class:`ArrayMatchingEngine` mirrors
-:class:`repro.lob.matching.MatchingEngine` operation for operation —
-same fills, same :class:`~repro.lob.events.MarketEvent` stream, same
-sequence numbers — but keeps all book state in the struct-of-arrays
-:class:`~repro.lob.array_book.ArrayBook` instead of per-order Python
-objects.  The differential suite (``tests/test_lob_array_parity.py``)
-and the generator byte-equality gate in CI hold the two engines to
-exact parity, following the discipline of ``tests/test_sweep_parity.py``
-and ``tests/test_loop_parity.py``.
+:class:`ArrayMatchingEngine` is the exchange-side component: it matches
+incoming orders against resting liquidity (lower ask / higher bid
+levels fill first; FIFO within a level) and publishes the incremental
+:class:`~repro.lob.events.BookUpdate` / trade ticks that drive the
+simulated market data feed, keeping all book state in the
+struct-of-arrays :class:`~repro.lob.array_book.ArrayBook` instead of
+per-order Python objects.  ``tests/oracles/matching.py`` keeps the
+object-per-order golden model it replaced; the differential suite
+(``tests/test_lob_array_parity.py``) holds the two to the same fills,
+the same :class:`~repro.lob.events.MarketEvent` stream and the same
+sequence numbers.
 
 Three execution surfaces:
 
-- the :class:`MatchingEngine`-shaped per-operation API
-  (``submit``/``cancel``/``replace`` returning :class:`MatchResult`),
-  for drop-in use by the gateway and market agents;
+- the per-operation API (``submit``/``cancel``/``replace`` returning
+  :class:`MatchResult`), used by the gateway and the tests;
 - :class:`ReplaySession`, the checked-out batch kernel: the slab
   columns and price-level lists are copied out once, operations replay
   as pure integer arithmetic with price–time priority (no per-op
@@ -22,30 +23,29 @@ Three execution surfaces:
   :meth:`ReplaySession.commit` swaps the buffers back into the book in
   O(1).  Sequence numbers advance exactly as the per-op path would, so
   a per-op replay of the same stream lands on the same sequence — this
-  is what lets the market generator's fast path produce byte-identical
-  tapes;
+  is what lets the market generator plan its agents' ops on a session
+  and still produce the tapes of the per-op loop;
 - :meth:`ArrayMatchingEngine.replay_ops`, a thin driver that replays a
   whole :class:`OpBatch` through one :class:`ReplaySession` and returns
   :class:`ReplayStats` checksums.
 
-Both engines share one FOK semantics fix: time-in-force FOK is enforced
-for MARKET orders too (historically only LIMIT+FOK was checked, so a
-MARKET+FOK order silently degraded to IOC), and ``replace`` re-runs the
-FOK check on the replacement because it resubmits through ``submit``.
+FOK is enforced for MARKET orders too (historically only LIMIT+FOK was
+checked, so a MARKET+FOK order silently degraded to IOC), and
+``replace`` re-runs the FOK check on the replacement because it
+resubmits through ``submit``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 import numpy as np
 
 from repro.errors import MatchingError, OrderBookError
 from repro.lob.array_book import ArrayBook, ArraySide
-from repro.lob.events import BookUpdate, TradeTick, UpdateAction
-from repro.lob.matching import MatchResult
+from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
 from repro.lob.order import Fill, Order, OrderType, Side, TimeInForce
 from repro.metrics import NULL_METRICS, MetricRegistry
 
@@ -54,6 +54,7 @@ __all__ = [
     "OP_REPLACE",
     "OP_SUBMIT",
     "ArrayMatchingEngine",
+    "MatchResult",
     "OpBatch",
     "ReplaySession",
     "ReplayStats",
@@ -643,15 +644,34 @@ class ReplaySession:
         engine._m_occupancy.set(self.in_use)
 
 
+@dataclass
+class MatchResult:
+    """Outcome of one matching-engine operation.
+
+    Attributes:
+        order: The (possibly filled) incoming or affected order.
+        fills: Executions generated, in match order.
+        events: Market-data events to publish, in publish order.
+        accepted: False when the order was rejected (e.g. unfillable FOK).
+    """
+
+    order: Order
+    fills: list[Fill] = field(default_factory=list)
+    events: list[MarketEvent] = field(default_factory=list)
+    accepted: bool = True
+
+    @property
+    def filled_quantity(self) -> int:
+        """Total quantity executed by this operation."""
+        return sum(fill.quantity for fill in self.fills)
+
+
 class ArrayMatchingEngine:
     """Price–time-priority matching over struct-of-arrays books.
 
-    Drop-in for :class:`repro.lob.matching.MatchingEngine`: same public
-    surface, same results, same event sequences.  ``metrics`` threads a
-    :class:`repro.metrics.MetricRegistry` through the hot path (orders /
-    fills / cancels counters, level-count and slab-occupancy high-water
-    gauges — the same instruments the reference engine records, so
-    metric snapshots are engine-agnostic too).
+    ``metrics`` threads a :class:`repro.metrics.MetricRegistry` through
+    the hot path: orders / fills / cancels / replaces counters plus
+    level-count and slab-occupancy (resting orders) high-water gauges.
     """
 
     def __init__(self, metrics: MetricRegistry | None = None) -> None:

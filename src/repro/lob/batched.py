@@ -1,7 +1,7 @@
 """BatchedBooks: N independent order books stepped in one array pass.
 
-The single-book engines (:mod:`repro.lob.matching`,
-:mod:`repro.lob.array_matching`) track per-order identity — maker ids,
+The single-book engine (:mod:`repro.lob.array_matching`) tracks
+per-order identity — maker ids,
 FIFO time priority inside a level, per-fill attribution.  Fleet-scale
 back-tests (thousands of independent symbols or scenario replicas, the
 scale the LightTrader standalone-pipeline claim is stress-tested

@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lob.book import LimitOrderBook
-
 CANONICAL_DEPTH = 10
 FEATURES_PER_LEVEL = 4
 
@@ -39,28 +37,6 @@ class DepthSnapshot:
     sequence: int = field(default=0)
 
     @classmethod
-    def capture(
-        cls,
-        book: LimitOrderBook,
-        timestamp: int,
-        depth: int = CANONICAL_DEPTH,
-        last_trade_price: int | None = None,
-        last_trade_quantity: int = 0,
-        sequence: int = 0,
-    ) -> "DepthSnapshot":
-        """Snapshot the top ``depth`` levels of ``book`` at ``timestamp``."""
-        return cls(
-            symbol=book.symbol,
-            timestamp=timestamp,
-            depth=depth,
-            bids=tuple(book.bids.top(depth)),
-            asks=tuple(book.asks.top(depth)),
-            last_trade_price=last_trade_price,
-            last_trade_quantity=last_trade_quantity,
-            sequence=sequence,
-        )
-
-    @classmethod
     def from_ladders(
         cls,
         symbol: str,
@@ -78,8 +54,8 @@ class DepthSnapshot:
         constructor but ~2.5x cheaper: it populates the instance dict
         directly instead of going through the frozen dataclass's
         ``object.__setattr__``-per-field ``__init__``.  The market
-        generator's fast path and the feed handler's book mirror build
-        one snapshot per tick through this.
+        generator and the feed handler's book mirror build one snapshot
+        per tick through this.
         """
         snapshot = cls.__new__(cls)
         d = snapshot.__dict__

@@ -5,7 +5,6 @@ from repro.market.agents import (
     AgentMix,
     FastMarketContext,
     LiquidityTaker,
-    MarketContext,
     MarketMaker,
     MomentumTrader,
     default_mix,
@@ -31,7 +30,6 @@ __all__ = [
     "HawkesProcess",
     "LiquidityTaker",
     "MarketConfig",
-    "MarketContext",
     "MarketMaker",
     "MarketSimulator",
     "MomentumTrader",

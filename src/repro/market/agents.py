@@ -7,18 +7,15 @@ ingredients the paper's traffic analysis relies on — passive liquidity
 behaviour that amplifies bursts (momentum traders) — while keeping the
 book two-sided and mean-reverting around a slowly moving reference price.
 
-Each agent exposes two equivalent surfaces:
-
-- ``act`` runs operations through the per-op engine API (the reference
-  path, any engine);
-- ``act_fast`` plans the same operations as plain-int records against a
-  checked-out :class:`~repro.lob.array_matching.ReplaySession` — no
-  ``Order``/``MatchResult`` objects per arrival.  The RNG draw sequence
-  is kept identical draw for draw (``rng.random()`` advances the
-  bit-stream exactly like ``rng.uniform()``, and the mix's CDF-bisect
-  sampling consumes the same single draw ``rng.choice(p=...)`` does), so
-  the generator's fast path produces byte-identical tapes — CI holds it
-  to that with a sha256 gate.
+Each agent plans its operations as plain-int records against a
+checked-out :class:`~repro.lob.array_matching.ReplaySession`
+(``act_fast``) — no ``Order``/``MatchResult`` objects per arrival.  The
+per-op reference loop these plans replaced lives in
+``tests/oracles/market.py``; the RNG draw sequence is kept identical to
+it draw for draw (``rng.random()`` advances the bit-stream exactly like
+``rng.uniform()``, and the mix's CDF-bisect sampling consumes the same
+single draw ``rng.choice(p=...)`` does), which is what keeps the tapes
+byte-identical — the tape parity tests hold it to that with sha256.
 """
 
 from __future__ import annotations
@@ -26,18 +23,13 @@ from __future__ import annotations
 import abc
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
-from repro.lob.array_book import ArrayBook
 from repro.lob.array_matching import ReplaySession
-from repro.lob.book import LimitOrderBook
-from repro.lob.engine import AnyMatchingEngine, make_matching_engine
-from repro.lob.matching import MatchResult
-from repro.lob.order import Order, OrderType, Side, TimeInForce, next_order_id
+from repro.lob.order import OrderType, Side, TimeInForce, next_order_id
 
-# Plain-int encodings for the fast path (== the enum values).
+# Plain-int encodings of the enums the agents' ops carry.
 _BID = int(Side.BID)
 _ASK = int(Side.ASK)
 _LIMIT = int(OrderType.LIMIT)
@@ -47,41 +39,15 @@ _IOC = int(TimeInForce.IOC)
 _SIGN = (1, -1)  # Side.sign by int side
 
 
-@dataclass
-class MarketContext:
-    """Mutable state shared between agents while generating a session.
-
-    The engine comes from :func:`repro.lob.engine.make_matching_engine`,
-    so ``REPRO_LOB_ENGINE`` decides whether agents trade against the
-    struct-of-arrays book or the object-per-order reference.
-    """
-
-    symbol: str
-    reference_price: float  # slowly drifting fair value, in ticks
-    last_direction: int = 0  # sign of the last trade-driven mid move
-    engine: AnyMatchingEngine = field(default_factory=make_matching_engine)
-
-    @property
-    def book(self) -> "LimitOrderBook | ArrayBook":
-        """The symbol's live book."""
-        return self.engine.book(self.symbol)
-
-    def anchor_price(self) -> int:
-        """Best integer price to quote around: the mid if the book is
-        two-sided, else the drifting reference price."""
-        mid = self.book.mid_price
-        return round(mid) if mid is not None else round(self.reference_price)
-
-
 class FastMarketContext:
-    """Session-backed twin of :class:`MarketContext` for ``act_fast``.
+    """Mutable state shared between agents while generating a session.
 
     Reads (best bid/ask, anchor price) come from the checked-out
     :class:`~repro.lob.array_matching.ReplaySession` buffers, writes go
     through the session's integer ops; the live book is only touched at
     commit.  ``anchor_price`` reproduces the reference context's float
-    math exactly (same rounding of the same mid), which the tape parity
-    gate depends on.
+    math exactly (same rounding of the same mid), which tape parity
+    depends on.
     """
 
     __slots__ = ("symbol", "reference_price", "last_direction", "session", "_owner_ids")
@@ -114,28 +80,14 @@ class FastMarketContext:
 
 
 class Agent(abc.ABC):
-    """One participant archetype; ``act`` performs engine operations.
-
-    ``fast_capable`` subclasses also implement ``act_fast``, the same
-    behaviour planned as plain-int ops against a
-    :class:`~repro.lob.array_matching.ReplaySession` with an identical
-    RNG draw sequence; it returns True when the arrival produced market
-    events (the reference loop's ``any(result.events ...)`` test).
-    """
-
-    fast_capable: ClassVar[bool] = False
+    """One participant archetype; ``act_fast`` plans its operations."""
 
     @abc.abstractmethod
-    def act(
-        self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        """Perform zero or more operations at ``timestamp``; return results."""
-
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        """Plan the same operations through ``fctx.session`` (fast path)."""
-        raise NotImplementedError(f"{type(self).__name__} has no fast path")
+        """Plan zero or more operations at ``timestamp`` through
+        ``fctx.session``; True when the arrival produced market events."""
 
 
 class MarketMaker(Agent):
@@ -151,35 +103,6 @@ class MarketMaker(Agent):
         self.max_live_quotes = max_live_quotes
         self.max_depth = max_depth
         self._live: list[int] = []  # order ids, oldest first
-
-    def act(
-        self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        results: list[MatchResult] = []
-        book = ctx.book
-        # Recycle stale quotes beyond the live bound.
-        while len(self._live) >= self.max_live_quotes:
-            order_id = self._live.pop(0)
-            if order_id in book:
-                results.append(ctx.engine.cancel(ctx.symbol, order_id, timestamp))
-        anchor = ctx.anchor_price()
-        side = Side.BID if rng.uniform() < 0.5 else Side.ASK
-        offset = int(rng.integers(1, self.max_depth + 1))
-        price = anchor - offset if side is Side.BID else anchor + offset
-        if price <= 0:
-            return results
-        order = Order(
-            side=side,
-            price=price,
-            quantity=int(rng.integers(1, 10)),
-            owner=self.name,
-        )
-        results.append(ctx.engine.submit(ctx.symbol, order, timestamp))
-        if order.order_id in book:
-            self._live.append(order.order_id)
-        return results
-
-    fast_capable = True
 
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
@@ -216,28 +139,6 @@ class LiquidityTaker(Agent):
         self.name = name
         self.aggression = aggression
 
-    def act(
-        self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        book = ctx.book
-        if book.best_bid is None or book.best_ask is None:
-            return []
-        side = Side.BID if rng.uniform() < 0.5 else Side.ASK
-        touch = book.best_ask if side is Side.BID else book.best_bid
-        order = Order(
-            side=side,
-            price=touch,
-            quantity=int(rng.integers(1, 6)),
-            tif=TimeInForce.IOC,
-            owner=self.name,
-        )
-        result = ctx.engine.submit(ctx.symbol, order, timestamp)
-        if result.fills:
-            ctx.last_direction = side.sign
-        return [result]
-
-    fast_capable = True
-
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
@@ -265,26 +166,6 @@ class MomentumTrader(Agent):
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def act(
-        self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        if ctx.last_direction == 0:
-            return []
-        book = ctx.book
-        if book.best_bid is None or book.best_ask is None:
-            return []
-        side = Side.BID if ctx.last_direction > 0 else Side.ASK
-        order = Order(
-            side=side,
-            price=1,
-            quantity=int(rng.integers(1, 4)),
-            order_type=OrderType.MARKET,
-            owner=self.name,
-        )
-        return [ctx.engine.submit(ctx.symbol, order, timestamp)]
-
-    fast_capable = True
 
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
@@ -325,23 +206,14 @@ class AgentMix:
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf.tolist())
 
-    @property
-    def supports_fast(self) -> bool:
-        """True when every agent in the mix implements ``act_fast``."""
-        return all(agent.fast_capable for agent in self.agents)
-
-    def sample(self, rng: np.random.Generator) -> Agent:
-        """Draw one agent according to the mix weights."""
-        probs = np.asarray(self.weights, dtype=float)
-        probs /= probs.sum()
-        return self.agents[int(rng.choice(len(self.agents), p=probs))]
-
     def sample_fast(self, rng: np.random.Generator) -> Agent:
-        """Draw-identical twin of :meth:`sample` without the numpy round
-        trip: ``rng.choice(n, p=probs)`` inverts the probability CDF on a
-        single ``rng.random()`` draw, so bisecting the cached CDF on the
-        same draw selects the same agent and leaves the bit-stream in the
-        same state (pinned by the fast-path parity tests)."""
+        """Draw one agent according to the mix weights.
+
+        ``rng.choice(n, p=probs)`` inverts the probability CDF on a
+        single ``rng.random()`` draw, so bisecting the cached CDF on one
+        ``rng.random()`` selects the agent the reference sampler's
+        ``rng.choice`` would and leaves the bit-stream in the same state
+        (pinned by the tape parity tests)."""
         return self.agents[bisect_right(self._cdf, rng.random())]
 
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import ProtocolError
-from repro.lob.engine import AnyMatchingEngine
+from repro.lob.array_matching import ArrayMatchingEngine
 from repro.lob.order import Order, OrderType, TimeInForce
 from repro.protocol.ilink3 import ILink3Cancel, ILink3Order, unframe_sofh
 from repro.protocol.sbe import SecurityDirectory, peek_template_id
@@ -58,14 +58,13 @@ class GatewayStats:
 class ExchangeGateway:
     """Order-entry session bound to one matching engine.
 
-    Works against either book engine (reference or array) — the session
-    only uses the shared ``submit``/``cancel``/``book`` surface, so
-    ``REPRO_LOB_ENGINE`` decides which one backs it.
+    The session only uses the engine's ``submit``/``cancel``/``book``
+    surface.
     """
 
     def __init__(
         self,
-        engine: AnyMatchingEngine,
+        engine: ArrayMatchingEngine,
         directory: SecurityDirectory,
         participant: str = "lighttrader",
     ) -> None:

@@ -5,46 +5,37 @@ bursty tick timestamps (Hawkes), realistic two-sided book dynamics
 (agent-based order flow through a real price–time-priority matching
 engine), and per-tick depth snapshots recorded as a :class:`TickTape`.
 
-Two generation paths produce byte-identical tapes (CI gates the sha256):
+The generator checks the book out into a
+:class:`~repro.lob.array_matching.ReplaySession` once per arrival chunk
+and lets agents plan plain-int ops against it — no per-arrival
+``Order``/``MatchResult``/event objects, snapshots sliced straight from
+the session's packed level lists.  ``tests/oracles/market.py`` keeps the
+per-op loop this replaced (every agent action through the engine's
+public API); the RNG draw sequence and the reference-price drift are
+preserved draw for draw, which keeps the two tapes byte-identical.
 
-- the **reference loop** runs every agent action through the per-op
-  engine API — any engine, one ``MatchResult`` list per arrival;
-- the **fast path** (``REPRO_MARKET_FAST``, default on, array engine
-  only) checks the book out into a
-  :class:`~repro.lob.array_matching.ReplaySession` once per arrival
-  chunk and lets agents plan plain-int ops against it — no per-arrival
-  ``Order``/``MatchResult``/event objects, snapshots sliced straight
-  from the session's packed level lists.  The RNG draw sequence and the
-  reference-price drift are preserved draw for draw, which is what
-  keeps the tapes bit-identical.
-
-Arrivals are consumed in chunks of ``_ARRIVAL_CHUNK`` either way, so a
-long session never materialises its full arrival array as a Python list.
+Arrivals are consumed in chunks of ``_ARRIVAL_CHUNK``, so a long session
+never materialises its full arrival array as a Python list.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import envcfg
 from repro.lob.array_matching import ArrayMatchingEngine, ReplaySession
-from repro.lob.engine import make_matching_engine
-from repro.lob.events import TradeTick
-from repro.lob.matching import MatchResult
 from repro.lob.order import Order, Side
 from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
-from repro.market.agents import AgentMix, FastMarketContext, MarketContext, default_mix
+from repro.market.agents import AgentMix, FastMarketContext, default_mix
 from repro.market.hawkes import BURSTY, HawkesParams, HawkesProcess
 from repro.market.replay import Tick, TickTape
 from repro.metrics import MetricRegistry
 from repro.units import sec_to_ns
 
 # Arrival timestamps are converted to Python ints this many at a time —
-# bounds peak memory on long sessions and, on the fast path, sets the
-# checkout/commit cadence of the replay session.
+# bounds peak memory on long sessions and sets the checkout/commit
+# cadence of the replay session.
 _ARRIVAL_CHUNK = 4096
 
 
@@ -85,11 +76,11 @@ class MarketSimulator:
         self.seed = seed
         self.metrics = metrics
 
-    def _seed_book(self, ctx: MarketContext) -> None:
+    def _seed_book(self, engine: ArrayMatchingEngine) -> None:
         """Pre-populate a symmetric book so agents have liquidity to act on."""
         cfg = self.config
         for level in range(1, cfg.seed_levels + 1):
-            ctx.engine.submit(
+            engine.submit(
                 cfg.symbol,
                 Order(
                     side=Side.BID,
@@ -99,7 +90,7 @@ class MarketSimulator:
                 ),
                 0,
             )
-            ctx.engine.submit(
+            engine.submit(
                 cfg.symbol,
                 Order(
                     side=Side.ASK,
@@ -116,82 +107,23 @@ class MarketSimulator:
         Every Hawkes arrival triggers one agent action; each action's
         market-data events become one tick (timestamp + post-event
         snapshot).  The same (config, mix, seed, duration) always produces
-        the identical tape — regardless of ``REPRO_MARKET_FAST`` and
-        ``REPRO_LOB_ENGINE`` (both parity-gated in CI).
+        the identical tape.
+
+        One :class:`ReplaySession` checkout per arrival chunk; commits at
+        chunk boundaries (and before any early return) so the live book
+        and metric registry end exactly as the per-op reference loop
+        leaves them.  An exception inside a chunk propagates without
+        committing, leaving the book at the last chunk boundary —
+        agent-op atomicity.
         """
         cfg = self.config
         rng = np.random.default_rng(self.seed)
-        # REPRO_LOB_ENGINE selects the book engine; both engines produce
-        # byte-identical tapes (the lob-parity CI gate enforces it).
-        ctx = MarketContext(
-            symbol=cfg.symbol,
-            reference_price=float(cfg.initial_price),
-            engine=make_matching_engine(self.metrics),
-        )
-        self._seed_book(ctx)
+        engine = ArrayMatchingEngine(metrics=self.metrics)
+        self._seed_book(engine)
 
         process = HawkesProcess(cfg.hawkes, rng)
         arrival_times = process.sample_times_ns(sec_to_ns(duration_s))
 
-        if (
-            envcfg.get_bool("REPRO_MARKET_FAST")
-            and self.mix.supports_fast
-            and isinstance(ctx.engine, ArrayMatchingEngine)
-        ):
-            return self._generate_fast(ctx.engine, rng, arrival_times, max_ticks)
-        return self._generate_reference(ctx, rng, arrival_times, max_ticks)
-
-    def _generate_reference(
-        self,
-        ctx: MarketContext,
-        rng: np.random.Generator,
-        arrival_times: np.ndarray,
-        max_ticks: int | None,
-    ) -> TickTape:
-        """The per-op loop: every action through the engine's public API."""
-        cfg = self.config
-        ticks: list[Tick] = []
-        sequence = 0
-        for start in range(0, arrival_times.shape[0], _ARRIVAL_CHUNK):
-            for timestamp in arrival_times[start : start + _ARRIVAL_CHUNK].tolist():
-                agent = self.mix.sample(rng)
-                results = agent.act(ctx, timestamp, rng)
-                if not any(result.events for result in results):
-                    continue
-                # Random-walk drift of the reference price keeps the market
-                # alive even if one side is temporarily swept.
-                ctx.reference_price += rng.normal(0.0, 0.05)
-                last_trade = self._last_trade(results)
-                sequence += 1
-                snapshot = DepthSnapshot.capture(
-                    ctx.book,
-                    timestamp=timestamp,
-                    depth=cfg.snapshot_depth,
-                    last_trade_price=last_trade[0],
-                    last_trade_quantity=last_trade[1],
-                    sequence=sequence,
-                )
-                ticks.append(Tick(timestamp=timestamp, snapshot=snapshot))
-                if max_ticks is not None and len(ticks) >= max_ticks:
-                    return TickTape(ticks)
-        return TickTape(ticks)
-
-    def _generate_fast(
-        self,
-        engine: ArrayMatchingEngine,
-        rng: np.random.Generator,
-        arrival_times: np.ndarray,
-        max_ticks: int | None,
-    ) -> TickTape:
-        """The batch-kernel loop: agents plan int ops on a replay session.
-
-        One :class:`ReplaySession` checkout per arrival chunk; commits at
-        chunk boundaries (and before any early return) so the live book
-        and metric registry end exactly as the reference loop leaves
-        them.  An exception inside a chunk propagates without committing,
-        leaving the book at the last chunk boundary — agent-op atomicity.
-        """
-        cfg = self.config
         symbol = cfg.symbol
         depth = cfg.snapshot_depth
         session = ReplaySession(engine, symbol)
@@ -230,15 +162,6 @@ class MarketSimulator:
                     return TickTape(ticks)
             session.commit()
         return TickTape(ticks)
-
-    @staticmethod
-    def _last_trade(results: Sequence[MatchResult]) -> tuple[int | None, int]:
-        """Extract the price/quantity of the last trade in ``results``."""
-        for result in reversed(results):
-            for event in reversed(result.events):
-                if isinstance(event, TradeTick) and event.quantity > 0:
-                    return event.price, event.quantity
-        return None, 0
 
 
 def generate_session(

@@ -217,10 +217,22 @@ class FeedHandler:
         beats none for the top levels the feed repeats often), but
         snapshot emission is withheld until :meth:`on_snapshot` resyncs,
         so no model input is built from a book known to be incomplete.
+
+        A malformed frame is counted in the parser's ``frames_seen`` and
+        ``frames_malformed`` and dropped, as :meth:`on_frame` does.  If
+        only its market-data body is malformed, its sequence number is
+        already consumed and its update lost, so every mirror goes stale
+        as on a gap.
         """
         self._m_frames.inc()
-        __, payload = decode_udp_frame(frame)
-        sequence, body = decode_sequenced_payload(payload)
+        stats = self.parser.stats
+        stats.frames_seen += 1
+        try:
+            __, payload = decode_udp_frame(frame)
+            sequence, body = decode_sequenced_payload(payload)
+        except ProtocolError:
+            stats.frames_malformed += 1
+            return []
         before_lost = self.sequence.lost_packets
         verdict = self.sequence.observe(sequence)
         if verdict == SEQ_DUPLICATE:
@@ -230,12 +242,20 @@ class FeedHandler:
         if verdict == SEQ_GAP:
             self._m_gaps.inc()
             self._m_lost.inc(self.sequence.lost_packets - before_lost)
-            for mirror in self.mirrors.values():
-                mirror.invalidate()
-        packet = self.parser.parse_payload(body)
+            self._invalidate_all()
+        try:
+            packet = self.parser.parse_payload(body)
+        except ProtocolError:
+            stats.frames_malformed += 1
+            self._invalidate_all()
+            return []
         if packet is None:
             return []
         return self._apply_packet(packet)
+
+    def _invalidate_all(self) -> None:
+        for mirror in self.mirrors.values():
+            mirror.invalidate()
 
     def on_snapshot(self, symbol: str, snapshot: DepthSnapshot) -> None:
         """Resync one symbol's mirror from the snapshot channel."""

@@ -16,23 +16,26 @@ selected scheduling scheme:
 GPU-based and FPGA-based systems run the same FIFO policy with their own
 profiles, which is exactly the paper's non-batching comparison.
 
-Two event pumps coexist for each system family.  The **reference** pump
-is the golden model: every arrival is a heap event, every decision is a
-fresh Algorithm-1 sweep, and power is sampled after every event.  The
-**fast** pump (default; ``REPRO_FAST_LOOP=0`` selects the reference)
-merges the sorted arrival stream against the heap with a cursor, drains
-arrival runs between scheduling decisions as vectorized slices over a
-struct-of-arrays query store, memoizes Algorithm-1 decisions, gates
-Algorithm-2 redistribution and power sampling on a cluster state epoch,
-and materialises :class:`Query` objects lazily.  The loop-parity tests
-hold the two pumps byte-identical — same :class:`RunResult`, same
-decision log, same traces — at every trace level.
+The event pumps merge the sorted arrival stream against the heap with a
+cursor, drain arrival runs between scheduling decisions as vectorized
+slices over a struct-of-arrays query store, memoize Algorithm-1
+decisions, gate Algorithm-2 redistribution and power sampling on a
+cluster state epoch, and materialise :class:`Query` objects lazily.  The
+one exception is a fixed (GPU/FPGA) profile under fault injection: its
+cursor pump has no fault paths, so :meth:`Backtester.run` takes the
+heap pump :meth:`Backtester._run_fixed_system` instead, where every
+arrival is a heap event and power is sampled after every event.  The
+golden-model LightTrader heap pump lives in ``tests/oracles/``; the
+loop-parity tests hold every pump byte-identical to it — same
+:class:`RunResult`, same decision log, same traces — at every trace
+level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,14 +70,6 @@ from repro.telemetry import (
     dropped_query_trace,
     run_telemetry,
 )
-
-# Set to "0" (or "false"/"no") to force the reference event pump.
-FAST_LOOP_ENV = envcfg.FAST_LOOP.name
-
-
-def _fast_loop_default() -> bool:
-    return envcfg.get_bool(FAST_LOOP_ENV)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -131,7 +126,8 @@ class _Pending:
 
 
 def _make_surrender_batch(state: _Pending, record_drop):
-    """Build the surrender policy shared by both LightTrader pumps.
+    """Build the LightTrader surrender policy (shared with the reference
+    pump in ``tests/oracles/backtest.py``).
 
     A query is still live while its original deadline has not passed
     (``deadline > now``; negative deadlines never expire) — re-issue
@@ -164,7 +160,8 @@ def _make_fault_handler(
     queue: EventQueue,
     surrender_batch,
 ):
-    """Build the LightTrader fault-event policy (shared by both pumps)."""
+    """Build the LightTrader fault-event policy (shared with the reference
+    pump in ``tests/oracles/backtest.py``)."""
 
     def handle_fault(now: int, event: FaultEvent) -> None:
         device = cluster.devices[event.accel_id] if event.accel_id >= 0 else None
@@ -345,7 +342,6 @@ class Backtester:
         config: SimConfig | None = None,
         telemetry: Telemetry | None = None,
         faults: FaultPlan | None = None,
-        fast_loop: bool | None = None,
         metrics: MetricRegistry | None = None,
     ) -> None:
         self.workload = workload
@@ -360,9 +356,6 @@ class Backtester:
         # by ``injector is not None``.
         self.faults = faults if faults is not None and not faults.empty else None
         self._is_lighttrader = isinstance(profile, LightTraderProfile)
-        # None defers to REPRO_FAST_LOOP at run time; an explicit bool
-        # pins this instance (the parity tests run both pumps this way).
-        self.fast_loop = fast_loop
         self.last_metrics: MetricsCollector | None = None
         self.last_run_metrics: MetricRegistry | None = None
 
@@ -412,12 +405,9 @@ class Backtester:
                 config.n_accelerators,
                 log=telemetry.decisions if telemetry is not None else None,
             )
-        fast = self.fast_loop if self.fast_loop is not None else _fast_loop_default()
-        # The fixed-system fast pump has no fault paths; fall back to the
-        # reference pump when a fixed profile runs under injection.
-        use_fast = fast and (self._is_lighttrader or injector is None)
+        heap_pump = self._heap_pump()
         pre_ns = self.profile.stages.pre_inference_ns
-        if use_fast:
+        if heap_pump is None:
             offload: OffloadEngine | PendingIndexStore = PendingIndexStore(
                 self.workload.timestamps,
                 self.workload.deadlines,
@@ -433,9 +423,9 @@ class Backtester:
             injector=injector,
         )
         queue = EventQueue()
-        if not use_fast:
-            # Reference pump: every arrival is a heap event.  The fast
-            # pumps merge the sorted workload arrays directly instead.
+        if heap_pump is not None:
+            # Every arrival is a heap event.  The cursor pumps merge the
+            # sorted workload arrays directly instead.
             for index in range(len(self.workload)):
                 ts = int(self.workload.timestamps[index])
                 if injector is None:
@@ -446,15 +436,12 @@ class Backtester:
         if injector is not None:
             injector.schedule(queue)
 
-        if self._is_lighttrader:
-            if use_fast:
-                self._run_lighttrader_fast(queue, state)
-            else:
-                self._run_lighttrader(queue, state)
-        elif use_fast:
-            self._run_fixed_system_fast(state)
+        if heap_pump is not None:
+            heap_pump(queue, state)
+        elif self._is_lighttrader:
+            self._run_lighttrader_fast(queue, state)
         else:
-            self._run_fixed_system(queue, state)
+            self._run_fixed_system_fast(state)
 
         for query in state.offload.pop_batch(config.max_pending):
             query.drop_reason = "end_of_run"
@@ -467,6 +454,16 @@ class Backtester:
         result = metrics.result()
         self._export_metrics(registry, system, result)
         return result
+
+    def _heap_pump(self) -> Callable[[EventQueue, _Pending], None] | None:
+        """The heap pump this run takes, or None for the cursor pumps.
+
+        Only a fixed profile under fault injection needs one: the fixed
+        cursor pump has no fault paths.
+        """
+        if self._is_lighttrader or self.faults is None:
+            return None
+        return self._run_fixed_system
 
     def _export_metrics(
         self, registry: MetricRegistry, system: str, result: RunResult
@@ -501,246 +498,6 @@ class Backtester:
 
     # -- LightTrader path ------------------------------------------------------------
 
-    def _run_lighttrader(self, queue: EventQueue, state: _Pending) -> None:
-        assert isinstance(self.profile, LightTraderProfile)
-        config = self.config
-        profile = self.profile
-        cost = profile.cost(config.model)
-
-        static_table = DVFSTable(cap_hz=paperdata.TABLE3_CONSERVATIVE_CAP_HZ)
-        dynamic_table = DVFSTable()  # full silicon envelope for Algorithms 1/2
-        power_model: PowerModel = profile.power_model
-        static_point = power_model.select_max_frequency(
-            static_table,
-            cost.activity,
-            config.budget_w / config.n_accelerators,
-        ) or static_table.min_point
-
-        telemetry = state.telemetry
-        decision_log = telemetry.decisions if telemetry is not None else None
-        spans_on = telemetry is not None and telemetry.trace_queries
-        light_on = telemetry is not None and telemetry.light
-        cluster = AcceleratorCluster(
-            n_accelerators=config.n_accelerators,
-            table=dynamic_table,
-            power_model=power_model,
-            budget_w=config.budget_w,
-        )
-        for device in cluster.devices:
-            device.point = static_point  # boot-time configuration, no delay
-            if telemetry is not None:
-                device.on_transition = telemetry.record_transition
-
-        ws = WorkloadScheduler(
-            profile,
-            dynamic_table,
-            max_batch=config.max_batch,
-            metric=config.scheduler_metric,
-            log=decision_log,
-        )
-        ds = (
-            DVFSScheduler(profile, dynamic_table, log=decision_log)
-            if config.dvfs_scheduling
-            else None
-        )
-
-        state.cluster = cluster
-        state.scheduler = ws
-        state.dvfs = ds
-
-        static_power = profile.power_w(config.model, static_point, 1)
-        min_power = profile.power_w(config.model, dynamic_table.min_point, 1)
-
-        post_slack_ns = profile.stages.post_inference_ns
-        injector = state.injector
-
-        def capped(point: OperatingPoint, device) -> OperatingPoint:
-            """Clamp a chosen point to the device's thermal cap, if any."""
-            if device.cap_hz is not None and point.freq_hz > device.cap_hz + 1e-3:
-                return fastest_capped(dynamic_table, device.cap_hz)
-            return point
-
-        def decide_for(device, now: int, deadline: int):
-            """One scheduling decision for an idle device, or None to drop."""
-            if config.workload_scheduling:
-                budget = self._issue_budget(cluster, device, now)
-                if ds is not None and budget < min_power:
-                    # Save power to make room for this issue (paper §III-D).
-                    ds.reclaim(cluster, now, min_power - cluster.headroom(now))
-                    budget = self._issue_budget(cluster, device, now)
-                # Effective deadlines: the order must leave the trading
-                # engine (post-inference stages) before t_avail expires.
-                deadlines = [
-                    d - post_slack_ns
-                    for d in state.offload.pending_deadlines(config.max_batch)
-                ]
-                return ws.decide(
-                    config.model,
-                    now,
-                    deadlines,
-                    budget,
-                    floor_freq_hz=static_point.freq_hz,
-                    cap_freq_hz=device.cap_hz,
-                )
-            if ds is not None:
-                # DVFS scheduling without batching: fastest point that the
-                # live rail headroom admits (batch stays 1).
-                budget = self._issue_budget(cluster, device, now)
-                point = power_model.select_max_frequency(
-                    dynamic_table, cost.activity, budget
-                )
-                if point is None:
-                    ds.reclaim(cluster, now, static_power - cluster.headroom(now))
-                    budget = self._issue_budget(cluster, device, now)
-                    point = power_model.select_max_frequency(
-                        dynamic_table, cost.activity, budget
-                    )
-                if point is None:
-                    point = static_point  # worst-case-safe fallback
-                return ws.static_decision(
-                    config.model, capped(point, device), now, deadline
-                )
-            return ws.static_decision(
-                config.model, capped(static_point, device), now, deadline
-            )
-
-        def try_schedule(now: int) -> None:
-            self._drop_stale(state, now)
-            for device in cluster.idle_devices(now):
-                while state.offload.pending_count() > 0:
-                    oldest = state.offload.peek_pending()
-                    assert oldest is not None
-                    deadline = oldest.deadline if oldest.deadline >= 0 else now
-                    decision = decide_for(device, now, deadline)
-                    if decision is None:
-                        effective = deadline - post_slack_ns
-                        if ws.deadline_feasible(config.model, now, effective):
-                            # Only power stands in the way; keep the query
-                            # queued until a busy accelerator releases
-                            # budget (its completion re-triggers scheduling).
-                            if decision_log is not None:
-                                decision_log.record_fallback(
-                                    now, "defer_power", oldest.query_id
-                                )
-                            break
-                        victim = state.offload.drop_oldest()
-                        if victim is not None:
-                            if decision_log is not None:
-                                decision_log.record_fallback(
-                                    now, "drop_unschedulable", victim.query_id
-                                )
-                            self._record_drop(state, victim, now)
-                        continue
-                    if decision.point != device.point:
-                        ready = device.set_point(decision.point, now)
-                        queue.push(ready, EventKind.RETRY, None)
-                        break
-                    batch = state.offload.pop_batch(decision.batch_size)
-                    record = device.issue(
-                        now,
-                        decision.t_total_ns,
-                        len(batch),
-                        cost.activity,
-                        deadline_ns=deadline,
-                    )
-                    for query in batch:
-                        query.issue_time = now
-                    state.in_flight[device.accel_id] = batch
-                    queue.push(record.completion_time, EventKind.COMPLETION, device.accel_id)
-                    break  # this device is now busy; move to the next one
-            if ds is not None:
-                reserve = static_power if cluster.idle_devices(now) else 0.0
-                if ds.redistribute(cluster, now, reserve_w=reserve):
-                    for device in cluster.busy_devices(now):
-                        queue.push(device.busy_until, EventKind.COMPLETION, device.accel_id)
-
-        surrender_batch = _make_surrender_batch(
-            state, lambda victim, when: self._record_drop(state, victim, when)
-        )
-        if injector is not None:
-            handle_fault = _make_fault_handler(
-                injector=injector,
-                cluster=cluster,
-                state=state,
-                decision_log=decision_log,
-                dynamic_table=dynamic_table,
-                static_point=static_point,
-                queue=queue,
-                surrender_batch=surrender_batch,
-            )
-
-        post_ns = self.profile.stages.post_inference_ns
-        while len(queue):
-            now, kind, payload = queue.pop()
-            if kind is EventKind.ARRIVAL:
-                if injector is not None:
-                    verdict = injector.on_arrival(payload, now)
-                    if verdict == STALLED:
-                        # DMA stall window: defer admission to its end.
-                        queue.push(injector.stall_until, EventKind.ARRIVAL, payload)
-                        continue
-                    if verdict == DUPLICATE:
-                        continue  # second copy of a duplicated packet
-                self._ingest(state, payload, now)
-                try_schedule(now)
-            elif kind is EventKind.COMPLETION:
-                device = cluster.devices[payload]
-                if device.current is None:
-                    continue  # stale event (batch already finished)
-                if device.busy_until > now:
-                    queue.push(device.busy_until, EventKind.COMPLETION, payload)
-                    continue  # batch was stretched by the power-save step
-                device.finish(now)
-                batch = state.in_flight.pop(device.accel_id, [])
-                if injector is not None and device.accel_id in injector.corrupted:
-                    # The batch returned garbage: never score it; re-issue
-                    # whatever can still meet its original deadline.
-                    injector.corrupted.discard(device.accel_id)
-                    requeued, dropped = surrender_batch(batch, now, "corrupt_result")
-                    if decision_log is not None:
-                        decision_log.record_fault(
-                            now,
-                            "corrupt_result",
-                            accel_id=device.accel_id,
-                            requeued=requeued,
-                            dropped=dropped,
-                        )
-                    try_schedule(now)
-                    continue
-                for query in batch:
-                    query.completion_time = now + post_ns
-                    state.metrics.record_completion(
-                        query, query.completion_time, len(batch)
-                    )
-                if batch and spans_on:
-                    trans_ns = profile.t_trans_ns(len(batch))
-                    for query in batch:
-                        telemetry.record_query(
-                            completed_query_trace(
-                                query,
-                                profile.stages,
-                                inference_done_ns=now,
-                                t_trans_ns=trans_ns,
-                                batch_size=len(batch),
-                                accel_id=device.accel_id,
-                            )
-                        )
-                elif batch and light_on:
-                    for query in batch:
-                        telemetry.record_completion_light(
-                            query.deadline, query.arrival, query.completion_time
-                        )
-                try_schedule(now)
-            elif kind is EventKind.FAULT:
-                handle_fault(now, payload)
-                try_schedule(now)
-            else:  # RETRY
-                try_schedule(now)
-            watts = cluster.total_power(now)
-            state.metrics.sample_power(now, watts)
-            if telemetry is not None:
-                telemetry.sample_power(now, watts)
-
     def _run_lighttrader_fast(self, queue: EventQueue, state: _Pending) -> None:
         """The fast LightTrader pump: cursor-merged arrivals, batched
         admission runs, memoized decisions, epoch-gated redistribution
@@ -756,7 +513,8 @@ class Backtester:
         the summed epoch is unchanged, cluster power at the previous
         sample is still exact, and Algorithm-2 redistribution (a no-op
         then) stays a no-op.  The loop-parity tests enforce all of this
-        byte-for-byte against ``_run_lighttrader``.
+        byte-for-byte against the reference heap pump in
+        ``tests/oracles/backtest.py``.
         """
         assert isinstance(self.profile, LightTraderProfile)
         config = self.config
@@ -1384,11 +1142,11 @@ class Backtester:
 
     def _run_fixed_system_fast(self, state: _Pending) -> None:
         """Fast fixed-profile pump (fault-free runs only — ``run()``
-        falls back to the reference pump under injection).
+        takes the heap pump :meth:`_run_fixed_system` under injection).
 
         Constant service time makes completions FIFO (a deque replaces
         the heap) and constant system power makes the timeline flat: the
-        first and last events pin the same integral the reference
+        first and last events pin the same integral the heap pump
         accumulates event by event.
         """
         config = self.config

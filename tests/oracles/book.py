@@ -1,9 +1,12 @@
-"""Price–time-priority limit order book.
+"""Reference price–time-priority limit order book (test oracle).
 
 A :class:`LimitOrderBook` keeps two :class:`BookSide` structures.  Each side
 maps integer tick prices to :class:`PriceLevel` FIFO queues and maintains a
 sorted price index (via :mod:`bisect`) so best-price lookups and top-N
-snapshots are cheap for the shallow books HFT cares about.
+snapshots are cheap for the shallow books HFT cares about.  This is the
+object-per-order model :class:`repro.lob.array_book.ArrayBook` replaced;
+:func:`capture` is the snapshot constructor the reference market
+generator takes over either book.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from collections import OrderedDict
 from collections.abc import Iterator
 
 from repro.errors import OrderBookError
+from repro.lob.array_book import ArrayBook
 from repro.lob.order import Order, Side
+from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
 
 
 class PriceLevel:
@@ -137,9 +142,9 @@ class BookSide:
         """Return up to ``depth`` (price, volume) pairs, best first."""
         out: list[tuple[int, int]] = []
         for level in self.iter_best_first():
-            out.append((level.price, level.volume))
-            if len(out) == depth:
+            if len(out) >= depth:
                 break
+            out.append((level.price, level.volume))
         return out
 
     def total_volume(self) -> int:
@@ -162,7 +167,7 @@ class LimitOrderBook:
 
     The book is a passive container: it stores and organises resting
     orders.  All trading semantics (matching, cancels, replaces) live in
-    :class:`repro.lob.matching.MatchingEngine`.
+    :class:`tests.oracles.matching.MatchingEngine`.
     """
 
     def __init__(self, symbol: str) -> None:
@@ -256,3 +261,24 @@ class LimitOrderBook:
         """True if best bid ≥ best ask (must never hold after matching)."""
         bid, ask = self.best_bid, self.best_ask
         return bid is not None and ask is not None and bid >= ask
+
+
+def capture(
+    book: "LimitOrderBook | ArrayBook",
+    timestamp: int,
+    depth: int = CANONICAL_DEPTH,
+    last_trade_price: int | None = None,
+    last_trade_quantity: int = 0,
+    sequence: int = 0,
+) -> DepthSnapshot:
+    """Snapshot the top ``depth`` levels of ``book`` at ``timestamp``."""
+    return DepthSnapshot(
+        symbol=book.symbol,
+        timestamp=timestamp,
+        depth=depth,
+        bids=tuple(book.bids.top(depth)),
+        asks=tuple(book.asks.top(depth)),
+        last_trade_price=last_trade_price,
+        last_trade_quantity=last_trade_quantity,
+        sequence=sequence,
+    )

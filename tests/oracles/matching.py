@@ -1,44 +1,23 @@
-"""Matching engine with price–time priority.
+"""Reference matching engine with price–time priority (test oracle).
 
-This is the exchange-side component: it owns one :class:`LimitOrderBook`
-per symbol, matches incoming orders against resting liquidity (lower ask /
-higher bid levels fill first; FIFO within a level), and publishes the
-incremental :class:`~repro.lob.events.BookUpdate` / trade ticks that drive
-the simulated market data feed.
+This is the object-per-order golden model that
+:class:`repro.lob.array_matching.ArrayMatchingEngine` must match
+operation for operation: it owns one :class:`LimitOrderBook` per symbol,
+matches incoming orders against resting liquidity (lower ask / higher
+bid levels fill first; FIFO within a level), and publishes the
+incremental :class:`~repro.lob.events.BookUpdate` / trade ticks that
+drive the simulated market data feed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.errors import MatchingError
 from repro.hotpath import hot_path
-from repro.lob.book import LimitOrderBook, PriceLevel
-from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
+from repro.lob.array_matching import MatchResult
+from repro.lob.events import BookUpdate, TradeTick, UpdateAction
 from repro.lob.order import Fill, Order, OrderType, Side, TimeInForce
 from repro.metrics import NULL_METRICS, MetricRegistry
-
-
-@dataclass
-class MatchResult:
-    """Outcome of one matching-engine operation.
-
-    Attributes:
-        order: The (possibly filled) incoming or affected order.
-        fills: Executions generated, in match order.
-        events: Market-data events to publish, in publish order.
-        accepted: False when the order was rejected (e.g. unfillable FOK).
-    """
-
-    order: Order
-    fills: list[Fill] = field(default_factory=list)
-    events: list[MarketEvent] = field(default_factory=list)
-    accepted: bool = True
-
-    @property
-    def filled_quantity(self) -> int:
-        """Total quantity executed by this operation."""
-        return sum(fill.quantity for fill in self.fills)
+from tests.oracles.book import LimitOrderBook, PriceLevel
 
 
 class MatchingEngine:

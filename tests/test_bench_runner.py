@@ -1,6 +1,8 @@
 """Parallel experiment runner: determinism, ordering, job control."""
 
 import dataclasses
+import functools
+import os
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.bench.runner import (
     RunSpec,
     WorkloadSpec,
     default_jobs,
+    execute_run,
     run_many,
 )
 from repro.errors import SimulationError
@@ -98,33 +101,50 @@ def test_default_retries_env(monkeypatch):
         default_retries()
 
 
-def test_worker_crash_retried_transparently(tmp_path, monkeypatch):
-    """One worker dies mid-grid; the retry pool recovers every result."""
-    from repro.bench.runner import BENCH_CRASH_FILE_ENV
+def _crash_once(marker_path, spec):
+    """Run ``spec``, killing the worker first if ``marker_path`` names it.
 
+    The marker is consumed before the kill (a simulated OOM kill or
+    segfault), so a retry of the same spec survives.
+    """
+    try:
+        with open(marker_path) as handle:
+            target = handle.read().strip()
+    except FileNotFoundError:
+        target = None
+    if target == spec.run_name:
+        os.remove(marker_path)
+        os._exit(13)
+    return execute_run(spec)
+
+
+def _crashing_worker(specs, index, tmp_path):
+    """A picklable worker that kills its process once, on ``specs[index]``."""
+    marker = tmp_path / "crash"
+    marker.write_text(specs[index].run_name)
+    return marker, functools.partial(_crash_once, str(marker))
+
+
+def test_worker_crash_retried_transparently(tmp_path):
+    """One worker dies mid-grid; the retry pool recovers every result."""
     specs = _grid()
-    crash_file = tmp_path / "crash"
-    crash_file.write_text(specs[2].run_name)
-    monkeypatch.setenv(BENCH_CRASH_FILE_ENV, str(crash_file))
-    survived = run_many(specs, jobs=2, retries=1)
-    assert not crash_file.exists()  # the hook fired exactly once
-    monkeypatch.delenv(BENCH_CRASH_FILE_ENV)
+    marker, worker = _crashing_worker(specs, 2, tmp_path)
+    survived = run_many(specs, jobs=2, retries=1, worker=worker)
+    assert not marker.exists()  # the crash fired exactly once
     clean = run_many(specs, jobs=1)
     for left, right in zip(survived, clean):
         assert dataclasses.asdict(left) == dataclasses.asdict(right)
 
 
-def test_worker_crash_without_retries_yields_runfailure(tmp_path, monkeypatch):
-    from repro.bench.runner import BENCH_CRASH_FILE_ENV, RunFailure
+def test_worker_crash_without_retries_yields_runfailure(tmp_path):
+    from repro.bench.runner import RunFailure
 
     specs = _grid()
     doomed = 1
-    # Re-arm the crash file before every attempt at the doomed spec: with
-    # retries=0 the single attempt fails and must produce a placeholder.
-    crash_file = tmp_path / "crash"
-    crash_file.write_text(specs[doomed].run_name)
-    monkeypatch.setenv(BENCH_CRASH_FILE_ENV, str(crash_file))
-    results = run_many(specs, jobs=2, retries=0)
+    # With retries=0 the single attempt at the doomed spec dies and must
+    # produce a placeholder.
+    __, worker = _crashing_worker(specs, doomed, tmp_path)
+    results = run_many(specs, jobs=2, retries=0, worker=worker)
     failures = [r for r in results if isinstance(r, RunFailure)]
     assert failures  # at least the doomed spec (pool-mates may ride along)
     assert any(f.spec_index == doomed for f in failures)
@@ -220,15 +240,13 @@ def test_backoff_schedule_is_exponential_and_capped():
 
 def test_retry_sleeps_with_backoff_between_pool_rebuilds(tmp_path, monkeypatch):
     import repro.bench.runner as runner_module
-    from repro.bench.runner import BENCH_CRASH_FILE_ENV, _backoff_s
+    from repro.bench.runner import _backoff_s
 
     slept = []
     monkeypatch.setattr(runner_module.time, "sleep", slept.append)
     specs = _grid()
-    crash_file = tmp_path / "crash"
-    crash_file.write_text(specs[2].run_name)
-    monkeypatch.setenv(BENCH_CRASH_FILE_ENV, str(crash_file))
-    results = run_many(specs, jobs=2, retries=2)
+    __, worker = _crashing_worker(specs, 2, tmp_path)
+    results = run_many(specs, jobs=2, retries=2, worker=worker)
     assert all(not isinstance(r, runner_module.RunFailure) for r in results)
     # One pool rebuild after the crash → one backoff sleep.
     assert slept == [_backoff_s(1)]

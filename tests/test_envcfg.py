@@ -1,10 +1,10 @@
 """Behavioural pin for :mod:`repro.envcfg`.
 
-The registry replaced ad-hoc ``os.environ`` parsing at four call sites;
-these tests pin the exact semantics those sites relied on — parse
-directions for the two bool switches, clamping for the numeric grids,
-error policy for junk — plus the round-trip guarantee: every declared
-variable is documented in EXPERIMENTS.md's generated table.
+The registry replaced ad-hoc ``os.environ`` parsing at its call sites;
+these tests pin the exact semantics those sites relied on — clamping for
+the numeric grids, error policy for junk — plus the round-trip
+guarantee: every declared variable is documented in EXPERIMENTS.md's
+generated table.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ def test_registry_contents_and_defaults():
     assert set(by_name) == {
         "REPRO_TRACE_DIR",
         "REPRO_TRACE_LEVEL",
-        "REPRO_FAST_LOOP",
-        "REPRO_SWEEP_REFERENCE",
         "REPRO_WORKLOAD_CACHE",
         "REPRO_BENCH_JOBS",
         "REPRO_BENCH_RETRIES",
         "REPRO_BENCH_DURATION",
-        "REPRO_BENCH_CRASH_FILE",
         "REPRO_BENCH_TIMEOUT_S",
         "REPRO_CAMPAIGN_DIR",
         "REPRO_CAMPAIGN_DURATION",
@@ -48,18 +45,14 @@ def test_registry_contents_and_defaults():
         "REPRO_METRICS",
         "REPRO_METRICS_FLUSH_NS",
         "REPRO_METRICS_EXPORT",
-        "REPRO_LOB_ENGINE",
-        "REPRO_MARKET_FAST",
         "REPRO_TAPE_CACHE",
         "REPRO_LINT_CACHE",
     }
-    assert by_name["REPRO_FAST_LOOP"].default is True
-    assert by_name["REPRO_MARKET_FAST"].default is True
+    assert {var.kind for var in by_name.values()} == {"int", "float", "path"}
     assert by_name["REPRO_TAPE_CACHE"].default is None
     assert by_name["REPRO_METRICS"].default == 1
     assert by_name["REPRO_METRICS_FLUSH_NS"].default == 0
     assert by_name["REPRO_METRICS_EXPORT"].default is None
-    assert by_name["REPRO_SWEEP_REFERENCE"].default is False
     assert by_name["REPRO_TRACE_LEVEL"].default == 2
     assert by_name["REPRO_BENCH_JOBS"].default == 1
     assert by_name["REPRO_BENCH_DURATION"].default == 60.0
@@ -70,7 +63,7 @@ def test_registry_contents_and_defaults():
 
 
 def test_lookup_rejects_unregistered_names():
-    assert envcfg.is_declared("REPRO_FAST_LOOP")
+    assert envcfg.is_declared("REPRO_TRACE_LEVEL")
     assert not envcfg.is_declared("REPRO_NOPE")
     with pytest.raises(SimulationError):
         envcfg.lookup("REPRO_NOPE")
@@ -85,81 +78,21 @@ def test_declarations_validate_themselves():
         envcfg.EnvVar("REPRO_X", "complex", 1, "doc")
     with pytest.raises(ValueError):
         envcfg.EnvVar("REPRO_X", "int", 1, "doc", on_error="explode")
-    # choice kind must declare choices, default must be a member, and
-    # non-choice kinds must not declare choices.
-    with pytest.raises(ValueError):
-        envcfg.EnvVar("REPRO_X", "choice", "a", "doc")
-    with pytest.raises(ValueError):
-        envcfg.EnvVar("REPRO_X", "choice", "c", "doc", choices=("a", "b"))
-    with pytest.raises(ValueError):
-        envcfg.EnvVar("REPRO_X", "int", 1, "doc", choices=("a", "b"))
+    # Only int, float and path variables exist.
+    for kind in ("bool", "choice"):
+        with pytest.raises(ValueError):
+            envcfg.EnvVar("REPRO_X", kind, "a", "doc")
 
 
 def test_accessors_enforce_declared_kind():
     with pytest.raises(SimulationError):
-        envcfg.get_bool("REPRO_TRACE_LEVEL")
-    with pytest.raises(SimulationError):
-        envcfg.get_int("REPRO_FAST_LOOP")
+        envcfg.get_int("REPRO_TRACE_DIR")
     with pytest.raises(SimulationError):
         envcfg.get_float("REPRO_BENCH_JOBS")
     with pytest.raises(SimulationError):
-        envcfg.get_path("REPRO_FAST_LOOP")
+        envcfg.get_path("REPRO_BENCH_DURATION")
     with pytest.raises(SimulationError):
-        envcfg.get_choice("REPRO_FAST_LOOP")
-    with pytest.raises(SimulationError):
-        envcfg.get_int("REPRO_LOB_ENGINE")
-
-
-# ---------------------------------------------------------------------------
-# choice: closed token set, case-insensitive, on_error policy
-# ---------------------------------------------------------------------------
-
-
-def test_choice_default_and_tokens(monkeypatch):
-    assert envcfg.get_choice("REPRO_LOB_ENGINE") == "array"
-    for token in ("reference", "REFERENCE", " Reference "):
-        monkeypatch.setenv("REPRO_LOB_ENGINE", token)
-        assert envcfg.get_choice("REPRO_LOB_ENGINE") == "reference"
-    monkeypatch.setenv("REPRO_LOB_ENGINE", "array")
-    assert envcfg.get_choice("REPRO_LOB_ENGINE") == "array"
-    monkeypatch.setenv("REPRO_LOB_ENGINE", "")
-    assert envcfg.get_choice("REPRO_LOB_ENGINE") == "array"
-
-
-def test_choice_unknown_token_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_LOB_ENGINE", "btree")
-    with pytest.raises(SimulationError, match="must be one of"):
-        envcfg.get_choice("REPRO_LOB_ENGINE")
-
-
-def test_choice_kind_text_renders_token_set():
-    assert envcfg.LOB_ENGINE.kind_text == "reference|array"
-    assert envcfg.BENCH_JOBS.kind_text == "int"
-
-
-# ---------------------------------------------------------------------------
-# bool: parse direction follows the declared default
-# ---------------------------------------------------------------------------
-
-
-def test_default_on_bool_turns_off_only_on_false_tokens(monkeypatch):
-    assert envcfg.get_bool("REPRO_FAST_LOOP") is True
-    for token in ("0", "false", "no", "FALSE", " No "):
-        monkeypatch.setenv("REPRO_FAST_LOOP", token)
-        assert envcfg.get_bool("REPRO_FAST_LOOP") is False
-    for token in ("1", "true", "anything-else"):
-        monkeypatch.setenv("REPRO_FAST_LOOP", token)
-        assert envcfg.get_bool("REPRO_FAST_LOOP") is True
-
-
-def test_default_off_bool_turns_on_only_on_true_tokens(monkeypatch):
-    assert envcfg.get_bool("REPRO_SWEEP_REFERENCE") is False
-    for token in ("1", "true", "yes", "TRUE", " Yes "):
-        monkeypatch.setenv("REPRO_SWEEP_REFERENCE", token)
-        assert envcfg.get_bool("REPRO_SWEEP_REFERENCE") is True
-    for token in ("0", "false", "anything-else"):
-        monkeypatch.setenv("REPRO_SWEEP_REFERENCE", token)
-        assert envcfg.get_bool("REPRO_SWEEP_REFERENCE") is False
+        envcfg.get_int("REPRO_BENCH_TIMEOUT_S")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +185,6 @@ def test_experiments_md_documents_every_variable_inside_markers():
 
 def test_default_text_rendering():
     assert envcfg.TRACE_DIR.default_text == "unset"
-    assert envcfg.FAST_LOOP.default_text == "on"
-    assert envcfg.SWEEP_REFERENCE.default_text == "off"
+    assert envcfg.CAMPAIGN_DURATION.default_text == "3"
     assert envcfg.BENCH_DURATION.default_text == "60"
     assert envcfg.TRACE_LEVEL.default_text == "2"

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ProtocolError
-from repro.lob.book import LimitOrderBook
 from repro.lob.events import BookUpdate, TradeTick, UpdateAction
 from repro.lob.order import Order, Side
 from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
@@ -39,6 +38,7 @@ from repro.protocol.sbe import (
     decode_message,
     encode_message,
 )
+from tests.oracles.book import LimitOrderBook, capture
 
 _MESSAGE_HEADER = struct.Struct("<HHHH")
 _GROUP_HEADER = struct.Struct("<HB")
@@ -162,7 +162,7 @@ class OracleMirror:
         self.level_orders[key] = order.order_id
 
     def snapshot(self, timestamp, depth=CANONICAL_DEPTH):
-        return DepthSnapshot.capture(
+        return capture(
             self.book,
             timestamp=timestamp,
             depth=depth,

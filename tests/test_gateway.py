@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.lob import MatchingEngine, Order, Side
+from repro.lob import ArrayMatchingEngine, Order, Side
 from repro.market.gateway import ExchangeGateway, ExecType
 from repro.protocol import ILink3Cancel, ILink3Order, SecurityDirectory
 
 
 @pytest.fixture
 def setup():
-    engine = MatchingEngine()
+    engine = ArrayMatchingEngine()
     directory = SecurityDirectory()
     directory.register("ESU6")
     # Resting liquidity: asks 18_002(5), bids 18_000(5).
@@ -114,12 +114,12 @@ class TestEndToEndLoop:
         """The full loop: prediction -> TradingEngine -> gateway -> fills."""
         import numpy as np
 
-        from repro.lob import DepthSnapshot
         from repro.pipeline import TradingEngine
+        from tests.oracles.book import capture
 
         engine, directory, gateway = setup
         trader = TradingEngine(security_id=directory.id_of("ESU6"))
-        snapshot = DepthSnapshot.capture(engine.book("ESU6"), timestamp=20)
+        snapshot = capture(engine.book("ESU6"), timestamp=20)
         decision = trader.on_inference(np.array([0.1, 0.1, 0.8]), snapshot, 20)
         assert decision.acted
         report = gateway.submit(decision.encoded, timestamp=20)

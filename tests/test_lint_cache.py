@@ -117,33 +117,30 @@ def test_warm_run_is_faster_over_lint_package(tmp_path: Path):
 
 
 def test_project_findings_identical_from_cached_facts(tmp_path: Path):
-    source = """
-from repro.sim.events import EventKind
+    # A cross-module RL009 finding: the callee's unit-suffixed parameter
+    # lives in one file, the mismatched call in the other.
+    sources = {
+        "src/repro/core/admit.py": """
+def admit(deadline_ns):
+    return deadline_ns
+""",
+        "src/repro/core/caller.py": """
+from repro.core.admit import admit
 
-class Backtester:
-    def _run_lighttrader(self, queue):
-        if queue is EventKind.ARRIVAL:
-            pass
-
-    def _run_lighttrader_fast(self, queue):
-        if queue is EventKind.ARRIVAL:
-            pass
-        elif queue is EventKind.RETRY:
-            pass
-
-    def _run_fixed_system(self, q, s): ...
-    def _run_fixed_system_fast(self, s): ...
-"""
-    files = write_tree(tmp_path / "tree", {"src/repro/sim/backtest.py": source})
+def caller(cutoff_ms):
+    return admit(cutoff_ms)
+""",
+    }
+    files = write_tree(tmp_path / "tree", sources)
     cache = LintCache(tmp_path / "cache")
     cold = analyze_paths(files, root=tmp_path, cache=cache)
     warm = analyze_paths(files, root=tmp_path, cache=cache)
-    assert warm.cache_hits == 1
+    assert warm.cache_hits == 2
     cold_project = [f.to_dict() for f in project_findings_for(cold.facts)]
     warm_project = [f.to_dict() for f in project_findings_for(warm.facts)]
     assert cold_project == warm_project
     assert any(
-        f["rule"] == "RL006" and "backtest-lighttrader-loop" in str(f["message"])
+        f["rule"] == "RL009" and "'deadline_ns' expects" in str(f["message"])
         for f in warm_project
     )
 

@@ -1,4 +1,4 @@
-"""Whole-program rules RL006–RL009 over synthetic module trees.
+"""Whole-program rules RL007–RL009 over synthetic module trees.
 
 Fixture modules are assembled in-memory (or on disk for the CLI
 acceptance test) with repro-shaped paths so the project model treats
@@ -36,196 +36,6 @@ def findings_of(files: dict[str, str], code: str | None = None):
     return findings
 
 
-BACKTEST_BOTH_SIDES = """
-from repro.sim.events import EventKind
-
-class Backtester:
-    def _run_lighttrader(self, queue):
-        for kind in queue:
-            if kind is EventKind.ARRIVAL:
-                pass
-            elif kind is EventKind.COMPLETION:
-                pass
-            elif kind is EventKind.FAULT:
-                pass
-
-    def _run_lighttrader_fast(self, queue):
-        for kind in queue:
-            if kind is EventKind.COMPLETION:
-                pass
-            elif kind is EventKind.FAULT:
-                pass
-            elif kind is EventKind.ARRIVAL:
-                pass
-
-    def _run_fixed_system(self, queue, state):
-        pass
-
-    def _run_fixed_system_fast(self, state):
-        pass
-"""
-
-
-# ---------------------------------------------------------------------------
-# RL006 — parity-surface drift
-# ---------------------------------------------------------------------------
-
-
-def test_rl006_mirrored_loops_are_clean():
-    assert findings_of(
-        {"src/repro/sim/backtest.py": BACKTEST_BOTH_SIDES}, "RL006"
-    ) == []
-
-
-def test_rl006_branch_added_on_one_side_only():
-    drifted = BACKTEST_BOTH_SIDES.replace(
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n",
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n"
-        "            elif kind is EventKind.RETRY:\n                pass\n",
-    )
-    assert drifted != BACKTEST_BOTH_SIDES
-    findings = findings_of({"src/repro/sim/backtest.py": drifted}, "RL006")
-    assert findings, "RETRY branch on the fast side only must be drift"
-    assert any("backtest-lighttrader-loop" in f.message for f in findings)
-    assert any("EventKind.RETRY" in f.message for f in findings)
-
-
-def test_rl006_renamed_counterpart_is_drift():
-    renamed = BACKTEST_BOTH_SIDES.replace(
-        "def _run_lighttrader_fast", "def _run_lighttrader_fast2"
-    )
-    findings = findings_of({"src/repro/sim/backtest.py": renamed}, "RL006")
-    assert any(
-        "counterpart" in f.message and "backtest-lighttrader-loop" in f.message
-        for f in findings
-    )
-
-
-def test_rl006_rng_flow_divergence():
-    files = {
-        "src/repro/market/generator.py": """
-        class MarketSimulator:
-            def _generate_reference(self, ctx, rng):
-                price = rng.normal(0.0, 0.05)
-                size = rng.integers(1, 9)
-                return price, size
-
-            def _generate_fast(self, ctx, rng):
-                size = rng.integers(1, 9)
-                price = rng.normal(0.0, 0.05)
-                return price, size
-        """
-    }
-    findings = findings_of(files, "RL006")
-    assert any(
-        "RNG draw flows diverge" in f.message
-        and "market-generator-loop" in f.message
-        for f in findings
-    )
-
-
-def test_rl006_draw_equivalence_classes_are_clean():
-    # uniform vs random draw the same double from the stream.
-    files = {
-        "src/repro/market/generator.py": """
-        class MarketSimulator:
-            def _generate_reference(self, ctx, rng):
-                return rng.uniform()
-
-            def _generate_fast(self, ctx, rng):
-                return rng.random()
-        """
-    }
-    assert findings_of(files, "RL006") == []
-
-
-def test_rl006_class_pair_surface_drift():
-    files = {
-        "src/repro/lob/matching.py": """
-        class MatchingEngine:
-            def submit(self, order): ...
-            def cancel(self, order_id): ...
-        """,
-        "src/repro/lob/array_matching.py": """
-        class ArrayMatchingEngine:
-            def submit(self, order): ...
-            def cancel(self, order_id): ...
-            def replay_ops(self, ops): ...
-            def bulk_cancel(self, ids): ...
-        """,
-    }
-    findings = findings_of(files, "RL006")
-    # replay_ops is an allowed asymmetry; bulk_cancel is drift.
-    assert any("bulk_cancel" in f.message for f in findings)
-    assert not any("replay_ops" in f.message for f in findings)
-
-
-def test_rl006_stats_keys_and_ctor_kwargs():
-    files = {
-        "src/repro/core/scheduler.py": """
-        class ScheduleDecision:
-            pass
-
-        class WorkloadScheduler:
-            def _sweep_reference(self, model, now, stats):
-                stats["considered"] += 1
-                stats["feasible"] += 1
-                return ScheduleDecision(point=1, batch_size=2)
-
-            def _sweep_vectorized(self, tables, now, stats):
-                stats["considered"] += 1
-                return ScheduleDecision(point=1)
-        """
-    }
-    findings = findings_of(files, "RL006")
-    assert any("'stats' keys diverge" in f.message for f in findings)
-    assert any("keyword sets diverge" in f.message for f in findings)
-
-
-def test_rl006_suppression_downgrades_finding():
-    drifted = BACKTEST_BOTH_SIDES.replace(
-        "    def _run_lighttrader_fast(self, queue):",
-        "    # repro-lint: disable=RL006\n"
-        "    def _run_lighttrader_fast(self, queue):",
-    ).replace(
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n",
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n"
-        "            elif kind is EventKind.RETRY:\n                pass\n",
-    )
-    model = model_of({"src/repro/sim/backtest.py": drifted})
-    findings = [f for f in project_rule_findings(model) if f.rule == "RL006"]
-    assert findings and all(f.suppressed for f in findings)
-
-
-def test_rl006_cli_exit_1_names_the_pair(tmp_path: Path):
-    """Acceptance: mutate one side of a parity pair on a synthetic tree;
-    ``python -m repro.lint`` exits 1 naming the pair."""
-    drifted = BACKTEST_BOTH_SIDES.replace(
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n",
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n"
-        "            elif kind is EventKind.RETRY:\n                pass\n",
-    )
-    target = tmp_path / "src" / "repro" / "sim" / "backtest.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(textwrap.dedent(drifted))
-
-    repo_root = Path(__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "src"],
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        env={
-            "PYTHONPATH": str(repo_root / "src"),
-            "PATH": "/usr/bin:/bin:/usr/local/bin",
-        },
-    )
-    assert result.returncode == 1, result.stdout + result.stderr
-    assert "RL006" in result.stdout
-    assert "backtest-lighttrader-loop" in result.stdout
-    assert "REPRO_FAST_LOOP" in result.stdout
-
-
 # ---------------------------------------------------------------------------
 # RL007 — RNG-stream discipline
 # ---------------------------------------------------------------------------
@@ -241,6 +51,43 @@ def test_rl007_module_level_generator():
     }
     findings = findings_of(files, "RL007")
     assert any("module-level RNG construction" in f.message for f in findings)
+
+
+def test_rl007_suppression_downgrades_finding():
+    files = {
+        "src/repro/market/noise.py": """
+        import numpy as np
+
+        # repro-lint: disable=RL007
+        _RNG = np.random.default_rng(7)
+        """
+    }
+    model = model_of(files)
+    findings = [f for f in project_rule_findings(model) if f.rule == "RL007"]
+    assert findings and all(f.suppressed for f in findings)
+
+
+def test_rl007_cli_exit_1_names_the_finding(tmp_path: Path):
+    """Acceptance: a project-rule finding on a synthetic tree makes
+    ``python -m repro.lint`` exit 1 and name it."""
+    target = tmp_path / "src" / "repro" / "market" / "noise.py"
+    target.parent.mkdir(parents=True)
+    target.write_text("import numpy as np\n\n_RNG = np.random.default_rng(7)\n")
+
+    repo_root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.lint", "src"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env={
+            "PYTHONPATH": str(repo_root / "src"),
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+        },
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "RL007" in result.stdout
+    assert "module-level RNG construction" in result.stdout
 
 
 def test_rl007_unseeded_default_rng():
@@ -409,15 +256,15 @@ def test_rl008_import_time_envcfg_read():
         "src/repro/bench/fixture.py": """
         from repro import envcfg
 
-        FAST = envcfg.get_bool("REPRO_FAST_LOOP")
+        LEVEL = envcfg.get_int("REPRO_TRACE_LEVEL")
 
         def use():
-            return FAST
+            return LEVEL
         """
     }
     findings = findings_of(files, "RL008")
     assert any(
-        "REPRO_FAST_LOOP" in f.message and "import time" in f.message
+        "REPRO_TRACE_LEVEL" in f.message and "import time" in f.message
         for f in findings
     )
 

@@ -46,7 +46,7 @@ def test_registry_has_the_per_file_rules():
 def test_registry_has_the_project_rules():
     from repro.lint.project_rules import all_project_rules
 
-    assert sorted(all_project_rules()) == ["RL006", "RL007", "RL008", "RL009"]
+    assert sorted(all_project_rules()) == ["RL007", "RL008", "RL009"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +184,12 @@ def test_rl003_flags_direct_read_of_registered_variable():
         """
         import os
 
-        fast = os.environ.get("REPRO_FAST_LOOP")
+        level = os.environ.get("REPRO_TRACE_LEVEL")
         """,
         codes=["RL003"],
     )
     assert codes_of(findings) == ["RL003"]
-    assert "REPRO_FAST_LOOP" in findings[0].message
+    assert "REPRO_TRACE_LEVEL" in findings[0].message
     assert "repro.envcfg" in findings[0].message
 
 
@@ -237,8 +237,8 @@ def test_rl003_subscript_read_flagged_but_write_allowed():
     source = """
     import os
 
-    os.environ["REPRO_FAST_LOOP"] = "0"
-    value = os.environ["REPRO_FAST_LOOP"]
+    os.environ["REPRO_TRACE_LEVEL"] = "0"
+    value = os.environ["REPRO_TRACE_LEVEL"]
     """
     findings = run(source, codes=["RL003"])
     assert codes_of(findings) == ["RL003"]  # only the Load, not the Store
@@ -263,7 +263,7 @@ def test_rl003_file_suppression():
         # repro-lint: file-disable=RL003
         import os
 
-        a = os.environ.get("REPRO_FAST_LOOP")
+        a = os.environ.get("REPRO_TRACE_LEVEL")
         b = os.getenv("REPRO_TRACE_DIR")
         """,
         codes=["RL003"],

@@ -2,12 +2,13 @@
 
 The struct-of-arrays engine (``repro.lob.array_book`` /
 ``repro.lob.array_matching``) is only allowed to exist because it is
-bit-exact against the object-per-order reference: same fills (prices,
-quantities, maker ids and owners), same :class:`MarketEvent` stream with
-the same sequence numbers, same books afterwards.  These tests drive
-seeded randomized op streams (submit/cancel/replace across order types
-and TIFs) through both engines per-op, through ``replay_ops`` as one
-batch, and through the market generator end-to-end (byte-identical
+bit-exact against the object-per-order reference in ``tests/oracles/``:
+same fills (prices, quantities, maker ids and owners), same
+:class:`MarketEvent` stream with the same sequence numbers, same books
+afterwards.  These tests drive seeded randomized op streams
+(submit/cancel/replace across order types and TIFs) through both
+engines per-op, through ``replay_ops`` as one batch, and through the
+reference market generator on either engine end-to-end (byte-identical
 tapes) — the same checks the lob-parity CI gate runs.
 """
 
@@ -21,14 +22,14 @@ import pytest
 from repro.errors import MatchingError, OrderBookError
 from repro.lob import (
     ArrayMatchingEngine,
-    MatchingEngine,
     Order,
     OrderType,
     Side,
     TimeInForce,
 )
 from repro.lob.array_matching import OP_CANCEL, OP_REPLACE, OP_SUBMIT, OpBatch
-from repro.market.generator import generate_session
+from tests.oracles.market import reference_session
+from tests.oracles.matching import MatchingEngine
 
 SYMBOL = "ES"
 
@@ -134,8 +135,9 @@ def test_per_op_differential_parity(seed):
         if i % 100 == 0:
             ref_book = reference.book(SYMBOL)
             arr_book = array.book(SYMBOL)
-            assert arr_book.bids.top(10) == ref_book.bids.top(10)
-            assert arr_book.asks.top(10) == ref_book.asks.top(10)
+            for depth in (10, 0, -1):
+                assert arr_book.bids.top(depth) == ref_book.bids.top(depth)
+                assert arr_book.asks.top(depth) == ref_book.asks.top(depth)
     assert array._sequence == reference._sequence
     assert len(array.book(SYMBOL)) == len(reference.book(SYMBOL))
     assert array.book(SYMBOL).bids.top(25) == reference.book(SYMBOL).bids.top(25)
@@ -200,16 +202,15 @@ def test_failed_batch_leaves_book_untouched():
     assert 2 not in engine.book(SYMBOL)
 
 
-def _tape_digest(tmp_path, monkeypatch, engine_name):
-    monkeypatch.setenv("REPRO_LOB_ENGINE", engine_name)
-    tape = generate_session(duration_s=1.5, seed=3)
-    path = tmp_path / f"tape_{engine_name}.npz"
+def _tape_digest(tmp_path, engine):
+    tape = reference_session(duration_s=1.5, seed=3, engine=engine)
+    path = tmp_path / f"tape_{engine.__name__}.npz"
     tape.save(path)
     return len(tape), hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_generator_tape_byte_identical_across_engines(tmp_path, monkeypatch):
-    n_ref, ref_digest = _tape_digest(tmp_path, monkeypatch, "reference")
-    n_arr, arr_digest = _tape_digest(tmp_path, monkeypatch, "array")
+def test_generator_tape_byte_identical_across_engines(tmp_path):
+    n_ref, ref_digest = _tape_digest(tmp_path, MatchingEngine)
+    n_arr, arr_digest = _tape_digest(tmp_path, ArrayMatchingEngine)
     assert n_ref == n_arr > 0
     assert ref_digest == arr_digest

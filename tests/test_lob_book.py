@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import OrderBookError
-from repro.lob import LimitOrderBook, Order, PriceLevel, Side
+from repro.lob import Order, Side
+from tests.oracles.book import LimitOrderBook, PriceLevel
 
 
 def make_order(side=Side.BID, price=100, quantity=5, **kwargs):

@@ -1,9 +1,8 @@
 """Unit tests for the matching engine semantics.
 
 Every test runs against both book engines — the object-per-order
-reference and the struct-of-arrays implementation — so the semantics
-pinned here are pinned for the pair (the bit-exactness contract of
-``REPRO_LOB_ENGINE``).
+reference in ``tests/oracles/`` and the shipping struct-of-arrays
+engine — so the semantics pinned here are pinned for the pair.
 """
 
 import pytest
@@ -11,7 +10,6 @@ import pytest
 from repro.errors import MatchingError
 from repro.lob import (
     ArrayMatchingEngine,
-    MatchingEngine,
     Order,
     OrderType,
     Side,
@@ -20,6 +18,7 @@ from repro.lob import (
     UpdateAction,
     BookUpdate,
 )
+from tests.oracles.matching import MatchingEngine
 
 
 @pytest.fixture(params=["reference", "array"])

@@ -1,8 +1,15 @@
-"""Property-based tests (hypothesis) for order book / matching invariants."""
+"""Property-based tests (hypothesis) for order book / matching invariants.
+
+They run on the object-per-order reference engine in ``tests/oracles/``,
+whose levels expose their resting orders; the differential suite holds
+the shipping engine to it.
+"""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.lob import MatchingEngine, Order, OrderType, Side, TimeInForce
+from repro.lob import Order, OrderType, Side, TimeInForce
+from tests.oracles.book import capture
+from tests.oracles.matching import MatchingEngine
 
 
 # One random engine operation, encoded as a tuple the executor interprets.
@@ -113,10 +120,8 @@ def test_price_index_sorted_and_consistent(ops):
 @given(operations)
 @settings(max_examples=100, deadline=None)
 def test_snapshot_feature_vector_shape(ops):
-    from repro.lob import DepthSnapshot
-
     engine, __, __2 = run_ops(ops)
-    snap = DepthSnapshot.capture(engine.book("ES"), timestamp=99)
+    snap = capture(engine.book("ES"), timestamp=99)
     vec = snap.feature_vector()
     assert vec.shape == (40,)
     assert vec.dtype.name == "float32"

@@ -1,13 +1,15 @@
-"""Fast-loop vs reference-loop parity: byte-identical back-tests.
+"""Shipping-loop vs reference-loop parity: byte-identical back-tests.
 
-The fast event loop (``REPRO_FAST_LOOP``, default on) restructures the
-simulator — batched arrival admission, decision memoization, lazy query
-materialisation, change-driven power sampling — but is contractually a
-pure optimisation: every :class:`RunResult` field, decision-log event,
-telemetry counter and query trace must match the reference loop bit for
-bit.  These tests pin that contract over a seeded matrix of scheduling
-schemes, traffic presets, system profiles, queue-overflow pressure, a
-deterministic fault plan, and every trace level.
+The shipping event pumps restructure the simulator — batched arrival
+admission, decision memoization, lazy query materialisation,
+change-driven power sampling — but are contractually a pure
+optimisation of the heap pumps of
+:class:`tests.oracles.backtest.ReferenceBacktester`: every
+:class:`RunResult` field, decision-log event, telemetry counter and
+query trace must match the reference loop bit for bit.  These tests pin
+that contract over a seeded matrix of scheduling schemes, traffic
+presets, system profiles, queue-overflow pressure, a deterministic
+fault plan, and every trace level.
 
 Regression anchor: a saturated single accelerator under DVFS scheduling,
 where the reference loop re-runs the (non-exhaustive) Algorithm-2
@@ -30,6 +32,7 @@ from repro.metrics import IMPL_PREFIX, MetricRegistry
 from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.workload import Regime, TrafficSpec, synthetic_workload
 from repro.telemetry import Telemetry
+from tests.oracles.backtest import ReferenceBacktester
 
 # Sustained micro-burst traffic: keeps every device saturated so the
 # batched-admission drain and the redistribution tail interact.
@@ -59,12 +62,12 @@ def _workload(preset: str):
 def _run_pair(workload, profile, config, faults=None, level=2):
     """One back-test per loop; returns ((result, telemetry, metrics), ...)."""
     out = []
-    for fast in (False, True):
+    for backtester in (ReferenceBacktester, Backtester):
         telemetry = Telemetry(keep_traces=True, keep_events=True, level=level)
         metrics = MetricRegistry()
-        result = Backtester(
+        result = backtester(
             workload, profile, config, telemetry=telemetry, faults=faults,
-            fast_loop=fast, metrics=metrics,
+            metrics=metrics,
         ).run()
         telemetry.close()
         out.append((result, telemetry, metrics))

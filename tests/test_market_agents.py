@@ -1,4 +1,9 @@
-"""Unit tests for the order-flow agents."""
+"""Unit tests for the order-flow agents.
+
+The agents act through the per-op reference actions in
+``tests/oracles/market.py``; the tape parity tests hold the shipping
+``act_fast`` plans to them draw for draw.
+"""
 
 import numpy as np
 import pytest
@@ -7,11 +12,11 @@ from repro.lob import Order, Side
 from repro.market.agents import (
     AgentMix,
     LiquidityTaker,
-    MarketContext,
     MarketMaker,
     MomentumTrader,
     default_mix,
 )
+from tests.oracles.market import MarketContext, act
 
 
 @pytest.fixture
@@ -32,20 +37,20 @@ class TestMarketMaker:
     def test_places_quotes(self, ctx, rng):
         maker = MarketMaker("mm")
         for t in range(20):
-            maker.act(ctx, t, rng)
+            act(maker, ctx, t, rng)
         book = ctx.book
         assert len(book) > 2  # seeded 2 plus maker quotes
 
     def test_recycles_stale_quotes(self, ctx, rng):
         maker = MarketMaker("mm", max_live_quotes=5)
         for t in range(50):
-            maker.act(ctx, t, rng)
+            act(maker, ctx, t, rng)
         assert len(maker._live) <= 5
 
     def test_quotes_around_anchor(self, ctx, rng):
         maker = MarketMaker("mm", max_depth=3)
         for t in range(30):
-            maker.act(ctx, t, rng)
+            act(maker, ctx, t, rng)
         for side in (ctx.book.bids, ctx.book.asks):
             for level in side.iter_best_first():
                 assert abs(level.price - 18_000) <= 12
@@ -56,28 +61,28 @@ class TestLiquidityTaker:
         taker = LiquidityTaker("taker")
         fills = []
         for t in range(30):
-            for result in taker.act(ctx, t, rng):
+            for result in act(taker, ctx, t, rng):
                 fills.extend(result.fills)
         assert fills  # some IOC orders executed
 
     def test_noop_on_empty_book(self, rng):
         context = MarketContext(symbol="ES", reference_price=100.0)
-        assert LiquidityTaker("t").act(context, 0, rng) == []
+        assert act(LiquidityTaker("t"), context, 0, rng) == []
 
     def test_sets_direction(self, ctx, rng):
         taker = LiquidityTaker("taker")
         for t in range(30):
-            taker.act(ctx, t, rng)
+            act(taker, ctx, t, rng)
         assert ctx.last_direction in (-1, 0, 1)
 
 
 class TestMomentumTrader:
     def test_idle_without_direction(self, ctx, rng):
-        assert MomentumTrader("momo").act(ctx, 0, rng) == []
+        assert act(MomentumTrader("momo"), ctx, 0, rng) == []
 
     def test_chases_direction(self, ctx, rng):
         ctx.last_direction = 1
-        results = MomentumTrader("momo").act(ctx, 0, rng)
+        results = act(MomentumTrader("momo"), ctx, 0, rng)
         assert results
         assert results[0].order.side is Side.BID
 
@@ -85,7 +90,7 @@ class TestMomentumTrader:
 class TestAgentMix:
     def test_default_mix_samples_all_archetypes(self, rng):
         mix = default_mix()
-        names = {type(mix.sample(rng)).__name__ for __ in range(200)}
+        names = {type(mix.sample_fast(rng)).__name__ for __ in range(200)}
         assert names == {"MarketMaker", "LiquidityTaker", "MomentumTrader"}
 
     def test_invalid_mix_rejected(self):

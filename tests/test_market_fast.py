@@ -1,13 +1,13 @@
-"""The market-generation fast path: byte-identical, atomic, cached.
+"""The market generator: byte-identical, atomic, cached.
 
-The contract under test (ISSUE 9): ``REPRO_MARKET_FAST`` selects a
-batch-kernel generation loop (agents plan plain-int ops on a
-:class:`~repro.lob.array_matching.ReplaySession`) that must produce
-**byte-identical** tick tapes to the retained reference loop, under
-either book engine, for any seed — plus the RNG-stream equivalences that
-identity rests on, crash atomicity at chunk granularity, metric-registry
-parity, and the two-level tick-tape cache (memory + npz) that campaign
-probes reuse.
+The contract under test: the batch-kernel generation loop (agents plan
+plain-int ops on a :class:`~repro.lob.array_matching.ReplaySession`)
+must produce **byte-identical** tick tapes to the per-op reference loop
+in ``tests/oracles/market.py``, on either book engine, for any seed —
+plus pinned tape digests, the RNG-stream equivalences that identity
+rests on, crash atomicity at chunk granularity, metric-registry parity,
+and the two-level tick-tape cache (memory + npz) that campaign probes
+reuse.
 """
 
 from __future__ import annotations
@@ -28,9 +28,18 @@ from repro.market.tape_cache import (
     tape_cache_key,
 )
 from repro.metrics import MetricRegistry
+from tests.oracles.market import ReferenceMarketSimulator, reference_session, sample
+from tests.oracles.matching import MatchingEngine
 
 PARITY_SEEDS = (3, 11, 27)
 DURATION_S = 0.8
+# (ticks, sha256) of generate_session(DURATION_S, seed): the shipping
+# tape bytes, anchored independently of the oracle.
+PINNED_TAPES = {
+    3: (117, "cfed4b0e9ee325d8e9280f965287f969c95f218560cf66de99c2916d5128fe5e"),
+    11: (238, "324d5206af7e80a2e30f034448c6e206b524a0222930ccf127c749744382cb6d"),
+    27: (192, "e88de215ad0f497ee1da73b7d0d0e16300029a359e44b153a2c34581410993c0"),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -47,47 +56,48 @@ def tape_sha256(tmp_path, tape, label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tape byte-identity across {fast, reference} x {array, reference engine}
+# tape byte-identity: shipping generator vs the reference loop on either engine
 # ---------------------------------------------------------------------------
+
+# The generators under comparison: the shipping path, then the reference
+# loop on the array engine and on the object-per-order engine.
+GENERATORS = {
+    "shipping": generate_session,
+    "reference-array": reference_session,
+    "reference-book": lambda **kw: reference_session(engine=MatchingEngine, **kw),
+}
 
 
 @pytest.mark.parametrize("seed", PARITY_SEEDS)
-def test_tape_sha256_parity_matrix(tmp_path, monkeypatch, seed):
+def test_tape_sha256_parity_matrix(tmp_path, seed):
     digests = set()
-    for fast in ("0", "1"):
-        for engine in ("array", "reference"):
-            monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-            monkeypatch.setenv("REPRO_LOB_ENGINE", engine)
-            tape = generate_session(duration_s=DURATION_S, seed=seed)
-            assert len(tape) > 0
-            digests.add(tape_sha256(tmp_path, tape, f"{seed}-{fast}-{engine}"))
-    assert len(digests) == 1, "tape bytes must not depend on path or engine"
+    for label, generate in GENERATORS.items():
+        tape = generate(duration_s=DURATION_S, seed=seed)
+        assert len(tape) == PINNED_TAPES[seed][0]
+        digests.add(tape_sha256(tmp_path, tape, f"{seed}-{label}"))
+    assert digests == {PINNED_TAPES[seed][1]}, "tape bytes moved"
 
 
-def test_max_ticks_early_return_parity(tmp_path, monkeypatch):
+def test_max_ticks_early_return_parity(tmp_path):
     digests = set()
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        tape = MarketSimulator(MarketConfig(), seed=3).generate(
-            DURATION_S, max_ticks=25
-        )
+    for simulator in (MarketSimulator, ReferenceMarketSimulator):
+        tape = simulator(MarketConfig(), seed=3).generate(DURATION_S, max_ticks=25)
         assert len(tape) == 25
-        digests.add(tape_sha256(tmp_path, tape, f"cap-{fast}"))
+        digests.add(tape_sha256(tmp_path, tape, f"cap-{simulator.__name__}"))
     assert len(digests) == 1
 
 
 def test_chunked_iteration_matches_unchunked(tmp_path, monkeypatch):
     """A tiny arrival chunk must not perturb either path's tape bytes."""
+    paths = {"shipping": generate_session, "reference": reference_session}
     baseline = {}
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        tape = generate_session(duration_s=DURATION_S, seed=11)
-        baseline[fast] = tape_sha256(tmp_path, tape, f"chunk-default-{fast}")
+    for label, generate in paths.items():
+        tape = generate(duration_s=DURATION_S, seed=11)
+        baseline[label] = tape_sha256(tmp_path, tape, f"chunk-default-{label}")
     monkeypatch.setattr("repro.market.generator._ARRIVAL_CHUNK", 7)
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        tape = generate_session(duration_s=DURATION_S, seed=11)
-        assert tape_sha256(tmp_path, tape, f"chunk-7-{fast}") == baseline[fast]
+    for label, generate in paths.items():
+        tape = generate(duration_s=DURATION_S, seed=11)
+        assert tape_sha256(tmp_path, tape, f"chunk-7-{label}") == baseline[label]
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +110,7 @@ def test_sample_fast_matches_sample_and_stream_state():
     mix = default_mix()
     a, b = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(5_000):
-        assert mix.sample(a) is mix.sample_fast(b)
+        assert sample(mix, a) is mix.sample_fast(b)
     # Identical downstream draws prove identical generator state.
     assert a.integers(0, 1 << 62) == b.integers(0, 1 << 62)
 
@@ -133,21 +143,15 @@ def test_mix_cdf_inverts_choice_probabilities():
 class _BombAgent(Agent):
     """Plans an op the kernel must reject (cancel of an unknown id)."""
 
-    fast_capable = True
-
-    def act(self, ctx, timestamp, rng):
-        return []
-
     def act_fast(self, fctx, timestamp, rng):
         fctx.session.cancel(999_999_999)
         return True
 
 
 def test_rejected_agent_op_is_atomic(monkeypatch):
-    monkeypatch.setenv("REPRO_MARKET_FAST", "1")
     engine = ArrayMatchingEngine()
     monkeypatch.setattr(
-        "repro.market.generator.make_matching_engine", lambda metrics=None: engine
+        "repro.market.generator.ArrayMatchingEngine", lambda metrics=None: engine
     )
     config = MarketConfig()
     sim = MarketSimulator(
@@ -171,16 +175,15 @@ def test_rejected_agent_op_is_atomic(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# metric-registry parity between the two generation paths
+# metric-registry parity between the shipping and reference loops
 # ---------------------------------------------------------------------------
 
 
-def test_metric_registry_parity(monkeypatch):
+def test_metric_registry_parity():
     snapshots = []
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
+    for simulator in (ReferenceMarketSimulator, MarketSimulator):
         registry = MetricRegistry()
-        MarketSimulator(MarketConfig(), seed=5, metrics=registry).generate(1.0)
+        simulator(MarketConfig(), seed=5, metrics=registry).generate(1.0)
         snapshots.append(registry.public_snapshot())
     assert snapshots[0] == snapshots[1]
     assert snapshots[0]["counters"]["lob.orders"] > 0

@@ -293,12 +293,12 @@ class TestFeedHandlerIntegration:
 
     def test_end_to_end_market_to_features(self):
         """Exchange events -> SBE -> UDP -> parser -> mirror -> tensor."""
-        from repro.lob import MatchingEngine, Order
+        from repro.lob import ArrayMatchingEngine, Order
 
         directory = SecurityDirectory()
         directory.register("ESU6")
         handler = FeedHandler(PacketParser(directory))
-        exchange = MatchingEngine()
+        exchange = ArrayMatchingEngine()
         offload = OffloadEngine(window=2, store_tensors=True)
 
         query = None
@@ -402,6 +402,55 @@ class TestSequencedFeed:
         )
         assert len(emitted) == 1
         assert emitted[0].best_bid == 18_000
+
+    @staticmethod
+    def _counts(handler):
+        stats = handler.parser.stats
+        return stats.frames_seen, stats.frames_malformed
+
+    def test_bad_udp_frame_is_counted_and_dropped(self):
+        handler, directory = self._handler()
+        frame = bytearray(self._frame(directory, 0, [self._update(0)], 0))
+        frame[24] ^= 0xFF  # IPv4 header checksum
+        assert handler.on_sequenced_frame(bytes(frame)) == []
+        assert self._counts(handler) == (1, 1)
+        # No sequence number was consumed: the next frame starts clean.
+        assert handler.on_sequenced_frame(
+            self._frame(directory, 0, [self._update(0)], 0)
+        )
+        assert self._counts(handler) == (2, 1)
+        assert handler.sequence.gaps == 0
+
+    def test_short_sequence_header_is_counted_and_dropped(self):
+        handler, directory = self._handler()
+        assert handler.on_sequenced_frame(encode_udp_frame(b"\x00\x01")) == []
+        assert self._counts(handler) == (1, 1)
+        assert handler.on_sequenced_frame(
+            self._frame(directory, 0, [self._update(0)], 0)
+        )
+        assert handler.sequence.gaps == 0
+
+    def test_cut_market_data_body_invalidates_mirrors(self):
+        from repro.protocol.framing import encode_sequenced_payload
+
+        handler, directory = self._handler()
+        assert handler.on_sequenced_frame(
+            self._frame(directory, 0, [self._update(0)], 0)
+        )
+        body = encode_market_events([self._update(1, price=17_999)], directory, 1)
+        cut = encode_udp_frame(encode_sequenced_payload(1, body[:-3]))
+        assert handler.on_sequenced_frame(cut) == []
+        assert self._counts(handler) == (2, 1)
+        assert handler.mirror("ESU6").stale
+        # Sequence 2 is contiguous, but the update sequence 1 carried is
+        # lost: no snapshot until the snapshot channel resyncs the book.
+        assert (
+            handler.on_sequenced_frame(
+                self._frame(directory, 2, [self._update(2, price=17_998)], 2)
+            )
+            == []
+        )
+        assert handler.sequence.gaps == 0
 
     def test_resynced_mirror_keeps_applying_incrementals(self):
         mirror = LocalBookMirror("ESU6")

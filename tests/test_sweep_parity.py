@@ -1,9 +1,10 @@
 """Vectorized sweep ⇔ reference Algorithm-1 loop: decision-for-decision parity.
 
 The vectorized sweep is only allowed to change *how fast* Algorithm 1
-runs, never *what* it decides.  These property-style tests drive both
-implementations through randomized profiles, deadline mixes, power
-budgets and frequency floors and require
+runs, never *what* it decides.  These property-style tests drive it and
+the reference loop (:class:`tests.oracles.scheduler.ReferenceScheduler`)
+through randomized profiles, deadline mixes, power budgets and frequency
+floors and require
 
 - identical :class:`ScheduleDecision` objects (point, batch, timings,
   and the exact score bits), including the None case, and
@@ -14,14 +15,14 @@ budgets and frequency floors and require
 import numpy as np
 import pytest
 
-from repro import envcfg
 from repro.accelerator.power import DVFSTable
 from repro.baselines.modelcosts import ModelCost
 from repro.baselines.profiles import lighttrader_profile
-from repro.core.scheduler import SWEEP_REFERENCE_ENV, WorkloadScheduler
+from repro.core.scheduler import WorkloadScheduler
 from repro.core.sweepgrid import SweepGrid
 from repro.errors import SchedulingError
 from repro.telemetry.decisions import DecisionLog
+from tests.oracles.scheduler import ReferenceScheduler
 
 NOW = 5_000_000  # ns
 
@@ -61,10 +62,10 @@ def test_randomized_sweep_parity(profile, metric, max_batch):
     models = ["deeplob", "translob", "vanilla_cnn", "synthetic_0", "synthetic_1"]
     vec_log, ref_log = DecisionLog(), DecisionLog()
     vec = WorkloadScheduler(
-        profile, table, max_batch=max_batch, metric=metric, log=vec_log, vectorized=True
+        profile, table, max_batch=max_batch, metric=metric, log=vec_log
     )
-    ref = WorkloadScheduler(
-        profile, table, max_batch=max_batch, metric=metric, log=ref_log, vectorized=False
+    ref = ReferenceScheduler(
+        profile, table, max_batch=max_batch, metric=metric, log=ref_log
     )
     seed = {"ppw": 1, "latency": 2, "throughput": 3}[metric] * 100 + max_batch
     rng = np.random.default_rng(seed)
@@ -87,8 +88,8 @@ def test_randomized_sweep_parity(profile, metric, max_batch):
 def test_parity_without_decision_log(profile):
     """The uninstrumented fast path picks the same candidates."""
     table = DVFSTable(cap_hz=2.0e9)
-    vec = WorkloadScheduler(profile, table, vectorized=True)
-    ref = WorkloadScheduler(profile, table, vectorized=False)
+    vec = WorkloadScheduler(profile, table)
+    ref = ReferenceScheduler(profile, table)
     rng = np.random.default_rng(42)
     for _ in range(100):
         deadlines, budget, floor = _random_case(rng)
@@ -100,8 +101,8 @@ def test_parity_without_decision_log(profile):
 def test_scores_are_bit_identical(profile):
     """Not just the same argmax: the reported score has the same bits."""
     table = DVFSTable(cap_hz=2.2e9)
-    vec = WorkloadScheduler(profile, table, vectorized=True)
-    ref = WorkloadScheduler(profile, table, vectorized=False)
+    vec = WorkloadScheduler(profile, table)
+    ref = ReferenceScheduler(profile, table)
     rng = np.random.default_rng(7)
     compared = 0
     for _ in range(120):
@@ -117,39 +118,12 @@ def test_scores_are_bit_identical(profile):
     assert compared > 10
 
 
-def test_reference_env_flag(profile, monkeypatch):
-    table = DVFSTable(cap_hz=2.0e9)
-    monkeypatch.setenv(SWEEP_REFERENCE_ENV, "1")
-    assert WorkloadScheduler(profile, table).vectorized is False
-    monkeypatch.delenv(SWEEP_REFERENCE_ENV)
-    assert WorkloadScheduler(profile, table).vectorized is True
-    assert envcfg.raw(SWEEP_REFERENCE_ENV) is None
-
-
-def test_vectorized_falls_back_without_grid_support(profile):
-    """Profiles without sweep_grid() transparently use the reference loop."""
-
-    class Oracle:
-        def t_total_ns(self, model, point, batch_size):
-            return profile.t_total_ns(model, point, batch_size)
-
-        def power_w(self, model, point, batch_size):
-            return profile.power_w(model, point, batch_size)
-
-    table = DVFSTable(cap_hz=2.0e9)
-    bare = WorkloadScheduler(Oracle(), table, vectorized=True)
-    full = WorkloadScheduler(profile, table, vectorized=True)
-    decision = bare.decide("deeplob", NOW, [NOW + 3_000_000], 55.0)
-    assert decision == full.decide("deeplob", NOW, [NOW + 3_000_000], 55.0)
-    assert decision is not None
-
-
 def test_thermal_cap_parity(profile):
     """cap_freq_hz (thermal throttling) prunes both paths identically."""
     table = DVFSTable(cap_hz=2.2e9)
     vec_log, ref_log = DecisionLog(), DecisionLog()
-    vec = WorkloadScheduler(profile, table, log=vec_log, vectorized=True)
-    ref = WorkloadScheduler(profile, table, log=ref_log, vectorized=False)
+    vec = WorkloadScheduler(profile, table, log=vec_log)
+    ref = ReferenceScheduler(profile, table, log=ref_log)
     rng = np.random.default_rng(77)
     committed_below_cap = 0
     for trial in range(120):
@@ -167,8 +141,8 @@ def test_thermal_cap_parity(profile):
 
 def test_cap_below_every_point_yields_none(profile):
     table = DVFSTable(cap_hz=2.2e9)
-    for vectorized in (True, False):
-        scheduler = WorkloadScheduler(profile, table, vectorized=vectorized)
+    for scheduler_cls in (WorkloadScheduler, ReferenceScheduler):
+        scheduler = scheduler_cls(profile, table)
         decision = scheduler.decide(
             "deeplob", NOW, [NOW + 5_000_000], 55.0, cap_freq_hz=1.0
         )
@@ -196,10 +170,10 @@ class _GridStub:
 def _pair(stub, table, metric="ppw", max_batch=4):
     vec_log, ref_log = DecisionLog(), DecisionLog()
     vec = WorkloadScheduler(
-        stub, table, max_batch=max_batch, metric=metric, log=vec_log, vectorized=True
+        stub, table, max_batch=max_batch, metric=metric, log=vec_log
     )
-    ref = WorkloadScheduler(
-        stub, table, max_batch=max_batch, metric=metric, log=ref_log, vectorized=False
+    ref = ReferenceScheduler(
+        stub, table, max_batch=max_batch, metric=metric, log=ref_log
     )
     return vec, ref, vec_log, ref_log
 
