@@ -86,7 +86,7 @@ def main() -> int:
             f"({len(report['scenarios'])} scenarios x {report['repeat']} passes), "
             f"{len(report['invariants'])} invariants, deterministic"
         )
-    print(f"report: {outcome.report_path}")
+    print(f"report: {outcome.report_path or 'discarded (REPRO_CAMPAIGN_DIR unset)'}")
     return status
 
 

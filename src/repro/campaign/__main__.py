@@ -8,8 +8,9 @@ Usage::
 
 ``run`` executes every selected scenario through the bench process pool,
 writes ``campaign_report.json`` under ``--dir`` (or
-``REPRO_CAMPAIGN_DIR``, or a fresh temporary directory) and exits
-nonzero on any invariant violation, printing one grep-able
+``REPRO_CAMPAIGN_DIR``; with neither, traces go to a temporary
+directory that is removed, and no report is kept) and exits nonzero on
+any invariant violation, printing one grep-able
 ``FAIL scenario=… seed=… invariant=…`` line per violation.
 """
 
@@ -62,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{status} scenario={run['scenario']} seed={run['seed']} "
             f"pass={run['pass']}{suffix}"
         )
-    print(f"report: {outcome.report_path}")
+    print(f"report: {outcome.report_path or 'discarded (no --dir or REPRO_CAMPAIGN_DIR)'}")
     if outcome.violations:
         for violation in outcome.violations:
             print(f"FAIL {violation.diagnosis()}", file=sys.stderr)
@@ -120,7 +121,8 @@ def main(argv: list[str] | None = None) -> int:
         "--dir",
         default=None,
         help="output directory for traces and campaign_report.json "
-        "(default REPRO_CAMPAIGN_DIR, else a fresh temp dir)",
+        "(default REPRO_CAMPAIGN_DIR, else a temporary directory that is "
+        "removed, and no report is kept)",
     )
     run_parser.add_argument(
         "--repeat",

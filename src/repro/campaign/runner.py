@@ -279,10 +279,12 @@ def run_campaign(
     ``campaign`` names a registered scenario set; ``scenario_names``
     selects ad hoc.  ``duration_s``/``base_seed`` default to the
     ``REPRO_CAMPAIGN_DURATION``/``REPRO_CAMPAIGN_SEED`` registry values,
-    ``out_dir`` to ``REPRO_CAMPAIGN_DIR`` (falling back to a fresh
-    temporary directory).  ``repeat > 1`` runs every (scenario, seed)
-    that many times and audits the passes for byte-identical evidence —
-    the determinism guarantee the old chaos smoke asserted by hand.
+    ``out_dir`` to ``REPRO_CAMPAIGN_DIR``.  With neither, the traces go
+    to a temporary directory that is removed before returning, and no
+    report is written (``report_path`` is None).  ``repeat > 1`` runs
+    every (scenario, seed) that many times and audits the passes for
+    byte-identical evidence — the determinism guarantee the old chaos
+    smoke asserted by hand.
     """
     if campaign is not None and scenario_names:
         raise SimulationError("pass either a campaign name or scenario names")
@@ -306,9 +308,31 @@ def run_campaign(
     )
     if out_dir is None:
         out_dir = envcfg.get_path(envcfg.CAMPAIGN_DIR.name)
-    if out_dir is None:
-        out_dir = tempfile.mkdtemp(prefix="repro-campaign-")
-    out_path = Path(out_dir)
+    if out_dir is not None:
+        report, violations = _execute(
+            campaign, names, duration, seed, jobs, repeat, invariants, Path(out_dir)
+        )
+        report_path = write_report(report, out_dir)
+        return CampaignOutcome(report=report, violations=violations, report_path=report_path)
+    with tempfile.TemporaryDirectory(prefix="repro-campaign-") as scratch:
+        report, violations = _execute(
+            campaign, names, duration, seed, jobs, repeat, invariants, Path(scratch)
+        )
+    return CampaignOutcome(report=report, violations=violations)
+
+
+def _execute(
+    campaign: str | None,
+    names: "tuple[str, ...]",
+    duration: float,
+    seed: int,
+    jobs: int | None,
+    repeat: int,
+    invariants: "tuple[Invariant, ...]",
+    out_path: Path,
+) -> "tuple[dict, list[Violation]]":
+    """Run the campaign with its traces under ``out_path``; returns the
+    report and the violations."""
     trace_dir = out_path / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
 
@@ -370,5 +394,4 @@ def run_campaign(
         "violations": [v.diagnosis() for v in violations],
         "passed": not violations,
     }
-    report_path = write_report(report, out_path)
-    return CampaignOutcome(report=report, violations=violations, report_path=report_path)
+    return report, violations

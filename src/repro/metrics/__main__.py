@@ -59,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rel-tol",
         type=float,
         default=DEFAULT_REL_TOL,
-        help=f"default relative threshold (default {DEFAULT_REL_TOL:.0%})",
+        # argparse %-formats help text, so the rendered "5%" needs a second %.
+        help=f"default relative threshold (default {DEFAULT_REL_TOL:.0%}%)",
     )
     diff.add_argument(
         "--threshold",

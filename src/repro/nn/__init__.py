@@ -1,4 +1,10 @@
-"""Numpy DNN inference library: layers, models and precision emulation."""
+"""Numpy DNN inference library: layers, models and precision emulation.
+
+``Model.forward`` runs a plan built once per batch size: preallocated
+float32 buffers between the layers, and each hot layer's math written
+once as a step that writes a destination the caller supplies (see
+``repro.nn.layers.base``).
+"""
 
 from repro.nn.model import Model
 from repro.nn.models import (

@@ -1,4 +1,9 @@
-"""Element-wise activation layers (EPE work on the accelerator)."""
+"""Element-wise activation layers (EPE work on the accelerator).
+
+ReLU, LeakyReLU and Softmax compute as steps (see
+``repro.nn.layers.base``) that write their destination without
+temporaries; the other activations keep ``_forward``.
+"""
 
 from __future__ import annotations
 
@@ -20,8 +25,8 @@ class _Activation(Layer):
 class ReLU(_Activation):
     """max(x, 0)."""
 
-    def _forward(self, x):
-        return np.maximum(x, 0.0)
+    def _step(self, x, out):
+        return lambda: np.maximum(x, 0.0, out=out)
 
 
 class LeakyReLU(_Activation):
@@ -31,8 +36,15 @@ class LeakyReLU(_Activation):
         super().__init__(name)
         self.alpha = alpha
 
-    def _forward(self, x):
-        return np.where(x > 0, x, self.alpha * x)
+    def _step(self, x, out):
+        positive = np.empty(x.shape, dtype=bool)
+
+        def step():
+            np.greater(x, 0, out=positive)
+            np.multiply(x, self.alpha, out=out)
+            np.copyto(out, x, where=positive)
+
+        return step
 
 
 class Tanh(_Activation):
@@ -59,10 +71,17 @@ class GELU(_Activation):
 class Softmax(_Activation):
     """Numerically stable softmax over the last axis."""
 
-    def _forward(self, x):
-        shifted = x - x.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
+    def _step(self, x, out):
+        row = np.empty((*x.shape[:-1], 1), dtype=np.float32)  # max, then sum
+
+        def step():
+            np.maximum.reduce(x, axis=-1, keepdims=True, out=row)
+            np.subtract(x, row, out=out)
+            np.exp(out, out=out)
+            np.add.reduce(out, axis=-1, keepdims=True, out=row)
+            np.divide(out, row, out=out)
+
+        return step
 
     def _aux_ops(self):
         # exp + sum + divide per element, approximately 3 special-function ops.

@@ -6,11 +6,22 @@ A :class:`Layer` is built once against a concrete per-sample input shape
 footprint — multiply-accumulates (:meth:`Layer.macs`, tensor-engine work
 on the CGRA) and auxiliary element-wise operations (:meth:`Layer.aux_ops`,
 extended-PE work such as activations and normalisation).
+
+A layer computes in one of two ways.  A hot layer writes its math once,
+as a *step*: :meth:`Layer._step` binds it to a preallocated input slot
+(:meth:`Layer._slot`) and a destination the caller supplies, and each
+call of the bound step recomputes the destination from the slot without
+allocating.  ``Model.forward`` runs every layer through such steps over
+buffers planned once per batch size; ``Layer.forward`` allocates a slot
+and a destination for the one call and runs the same step.  Any other
+layer overrides :meth:`Layer._forward` instead, and its default step
+copies that result into the destination.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 
 import numpy as np
 
@@ -45,7 +56,7 @@ class Layer(abc.ABC):
         """Subclass hook: validate shape, create params, return output shape."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the layer on a batch ``(N, *input_shape)``."""
+        """Run the layer on a batch ``(N, *input_shape)``; returns a new array."""
         self._require_built()
         if x.shape[1:] != self.input_shape:
             raise ModelError(
@@ -53,9 +64,46 @@ class Layer(abc.ABC):
             )
         return self._forward(np.asarray(x, dtype=np.float32))
 
-    @abc.abstractmethod
     def _forward(self, x: np.ndarray) -> np.ndarray:
-        """Subclass hook: the actual computation."""
+        """Subclass hook: the computation, for a layer without a step.
+
+        A layer with a step inherits this, which runs the step from a
+        slot and into a destination allocated for this call.  A subclass
+        overrides this or :meth:`_step`, not neither.
+        """
+        buffer, view = self._slot(len(x))
+        np.copyto(view, x)
+        out = np.empty((len(x), *self.output_shape), dtype=np.float32)
+        self._step(buffer, out)()
+        return out
+
+    def _slot(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Input slot for a batch of ``n``: (buffer, view).
+
+        The step reads ``buffer``; whoever feeds the layer writes its
+        input into ``view``, a part of ``buffer`` that may be strided.
+        Nothing but that writer touches the buffer between calls.
+        """
+        buffer = np.empty((n, *self.input_shape), dtype=np.float32)
+        return buffer, buffer
+
+    def _step(self, x: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """Bind the computation from slot buffer ``x`` into ``out``.
+
+        Each call of the result writes the layer's output for the
+        current contents of ``x`` into ``out``.  ``out`` may be a
+        strided view, so a matmul writes it only when it is
+        C-contiguous.  The step holds scratch buffers only: it reads
+        ``params`` and settings on every call, so reassigning a
+        parameter reaches steps already bound.  The default copies what
+        :meth:`_forward` returns.
+        """
+        forward = self._forward
+
+        def step() -> None:
+            np.copyto(out, forward(x))
+
+        return step
 
     # -- accounting ---------------------------------------------------------------
 
@@ -90,6 +138,16 @@ class Layer(abc.ABC):
     def __repr__(self) -> str:
         shape = f"{self.input_shape}->{self.output_shape}" if self._built else "unbuilt"
         return f"<{type(self).__name__} {self.name} {shape}>"
+
+
+def matmul_out(out: np.ndarray) -> np.ndarray:
+    """Where a step's matmul writes before its bias lands in ``out``.
+
+    That is ``out`` itself when it is C-contiguous.  A strided ``out``
+    (a padded interior) takes element-wise writes only, so the product
+    goes to a C-contiguous scratch of the same shape instead.
+    """
+    return out if out.flags.c_contiguous else np.empty(out.shape, dtype=np.float32)
 
 
 def conv_output_length(length: int, kernel: int, stride: int, padding: str, dilation: int = 1) -> int:

@@ -1,5 +1,11 @@
 """Convolution layers (2-D and dilated causal 1-D), im2col based.
 
+``Conv2D`` computes as a step (see ``repro.nn.layers.base``): a "same"
+convolution's input slot is a zero-bordered buffer whose interior the
+previous layer writes, the im2col operand is refilled in a preallocated
+buffer by ``np.copyto``, the matmul writes with ``out=`` and the bias is
+added in place.
+
 Conventions: 2-D inputs are ``(channels, height, width)`` per sample with
 height = time and width = LOB features, matching the DeepLOB layout.
 1-D inputs are ``(timesteps, channels)``.
@@ -11,7 +17,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.nn.initializers import he_uniform, zeros
-from repro.nn.layers.base import Layer, conv_output_length
+from repro.nn.layers.base import Layer, conv_output_length, matmul_out
 
 
 def _pad_amounts(length: int, kernel: int, stride: int, dilation: int = 1) -> tuple[int, int]:
@@ -57,29 +63,48 @@ class Conv2D(Layer):
         out_w = conv_output_length(width, kw, self.stride[1], self.padding)
         return (self.filters, out_h, out_w)
 
-    def _forward(self, x):
-        n, channels, height, width = x.shape
+    def _slot(self, n):
+        if self.padding == "valid":
+            return super()._slot(n)
+        # "same": a zero-bordered buffer whose interior takes the input.
+        channels, height, width = self.input_shape
         kh, kw = self.kernel_size
-        sh, sw = self.stride
-        if self.padding == "same":
-            top, bottom = _pad_amounts(height, kh, sh)
-            left, right = _pad_amounts(width, kw, sw)
-            shape = (n, channels, top + height + bottom, left + width + right)
-            padded = np.zeros(shape, dtype=np.float32)
-            padded[:, :, top : top + height, left : left + width] = x
-            x = padded
-        # (N, C*kh*kw, out_h*out_w)
-        cols = _im2col(np.ascontiguousarray(x), kh, kw, sh, sw)
-        if not cols.flags.c_contiguous:
+        top, bottom = _pad_amounts(height, kh, self.stride[0])
+        left, right = _pad_amounts(width, kw, self.stride[1])
+        shape = (n, channels, top + height + bottom, left + width + right)
+        buffer = np.zeros(shape, dtype=np.float32)
+        return buffer, buffer[:, :, top : top + height, left : left + width]
+
+    def _step(self, x, out):
+        n, channels = x.shape[:2]
+        kh, kw = self.kernel_size
+        windows = _windows(x, kh, kw, *self.stride)
+        patches = out.shape[2] * out.shape[3]
+        # (N, C*kh*kw, out_h*out_w): a view of x when the patch axes
+        # merge, else a C-ordered copy, which becomes the operand buffer.
+        cols = windows.reshape(n, channels * kh * kw, patches)
+        refill = None
+        if not np.may_share_memory(cols, x):
+            refill = (cols.reshape(windows.shape), windows)
+        elif not cols.flags.c_contiguous:
             # A view of overlapping windows (full-width kernels), which
             # matmul cannot pass to BLAS as is.  A per-sample F-ordered
             # copy is faster than leaving it to matmul and gives the same
             # float32 bits; a C-ordered copy changes the summation order.
-            cols = np.ascontiguousarray(cols.transpose(0, 2, 1)).transpose(0, 2, 1)
-        weight = self.params["weight"].reshape(self.filters, -1)
-        out = weight @ cols + self.params["bias"][:, None]
-        out_c, out_h, out_w = self.output_shape
-        return out.reshape(n, out_c, out_h, out_w)
+            operand = np.empty((n, cols.shape[2], cols.shape[1]), dtype=np.float32)
+            refill = (operand.transpose(0, 2, 1), cols)
+            cols = refill[0]
+        product = matmul_out(out)
+        flat = product.reshape(n, self.filters, patches)
+
+        def step():
+            if refill is not None:
+                np.copyto(*refill)
+            weight = self.params["weight"]
+            np.matmul(weight.reshape(len(weight), -1), cols, out=flat)
+            np.add(product, self.params["bias"][:, None, None], out=out)
+
+        return step
 
     def _macs(self):
         out_c, out_h, out_w = self.output_shape
@@ -91,23 +116,22 @@ class Conv2D(Layer):
         return int(np.prod(self.output_shape))  # bias adds
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """Extract conv patches: returns ``(N, C*kh*kw, out_h*out_w)``.
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Conv patches of a C-contiguous ``x`` as a view of it.
 
-    ``x`` must be C-contiguous; the result is a view of it where the
-    patch axes merge without a copy.
+    The view is ``(N, C, kh, kw, out_h, out_w)``, patch axes first, so
+    merging the first three of them gives the im2col operand.
     """
     n, c, h, w = x.shape
     out_h = (h - kh) // sh + 1
     out_w = (w - kw) // sw + 1
     s0, s1, s2, s3 = x.strides
-    windows = np.ndarray(
+    return np.ndarray(
         (n, c, kh, kw, out_h, out_w),
         x.dtype,
         buffer=x,
         strides=(s0, s1, s2, s3, s2 * sh, s3 * sw),
     )
-    return windows.reshape(n, c * kh * kw, out_h * out_w)
 
 
 class CausalConv1D(Layer):

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ModelError
 from repro.nn.initializers import glorot_uniform, zeros
-from repro.nn.layers.base import Layer
+from repro.nn.layers.base import Layer, matmul_out
 
 
 class Dense(Layer):
@@ -32,8 +32,14 @@ class Dense(Layer):
         self.params["bias"] = zeros((self.units,))
         return (*input_shape[:-1], self.units)
 
-    def _forward(self, x):
-        return x @ self.params["weight"] + self.params["bias"]
+    def _step(self, x, out):
+        product = matmul_out(out)
+
+        def step():
+            np.matmul(x, self.params["weight"], out=product)
+            np.add(product, self.params["bias"], out=out)
+
+        return step
 
     def _macs(self):
         timesteps = self.input_shape[0] if len(self.input_shape) == 2 else 1

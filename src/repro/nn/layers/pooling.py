@@ -31,19 +31,25 @@ class MaxPool2D(Layer):
             raise ModelError(f"{self.name}: pool {self.pool_size} larger than input {input_shape}")
         return (c, (h - ph) // sh + 1, (w - pw) // sw + 1)
 
-    def _forward(self, x):
+    def _step(self, x, out):
         ph, pw = self.pool_size
         sh, sw = self.stride
         __, out_h, out_w = self.output_shape
         # Offset (i, j) of every window at once is one strided slice;
         # folding them in row-major order matches a per-window max.
-        out = x[:, :, ::sh, ::sw][:, :, :out_h, :out_w].copy()
-        for i in range(ph):
-            for j in range(pw):
-                if i or j:
-                    window = x[:, :, i::sh, j::sw][:, :, :out_h, :out_w]
-                    np.maximum(out, window, out=out)
-        return out
+        first, *rest = [
+            x[:, :, i::sh, j::sw][:, :, :out_h, :out_w] for i in range(ph) for j in range(pw)
+        ]
+        if not rest:
+            return lambda: np.copyto(out, first)
+        second, *more = rest
+
+        def step():
+            np.maximum(first, second, out=out)
+            for offset in more:
+                np.maximum(out, offset, out=out)
+
+        return step
 
     def _aux_ops(self):
         ph, pw = self.pool_size

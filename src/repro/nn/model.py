@@ -6,6 +6,12 @@ figures the rest of the system consumes: MAC counts (per sample), total
 OPs (the paper's Table II metric, 2 OPs per MAC plus auxiliary
 element-wise work) and parameter bytes (what the accelerator must hold in
 DMEM before inference).
+
+Inference runs a plan built once per batch size, as the accelerator maps
+a network once and then runs every tick from resident weights: each
+layer's input slot is a preallocated float32 buffer and each layer's step
+is bound from its slot into the next layer's (see
+``repro.nn.layers.base``).
 """
 
 from __future__ import annotations
@@ -40,26 +46,58 @@ class Model:
             shape = layer.build(shape, rng)
         self.output_shape = shape
         self.num_classes = num_classes or (shape[-1] if len(shape) == 1 else None)
+        # Batch size -> (input view, [(step, destination)], output buffer).
+        self._plans: dict[int, tuple] = {}
+
+    def __getstate__(self) -> dict:
+        # Plans are scratch buffers and steps bound to them: a pickled or
+        # deep-copied model builds its own on first use.
+        return {**self.__dict__, "_plans": {}}
 
     # -- inference ---------------------------------------------------------------
 
     def forward(self, x: np.ndarray, precision: Precision = Precision.FP32) -> np.ndarray:
-        """Run the network on a batch ``(N, *input_shape)``.
+        """Run the network on a batch ``(N, *input_shape)``; returns a new array.
 
         With a non-FP32 ``precision`` every layer's activations are
         round-tripped through that precision, emulating the accelerator's
         datapath.
+
+        The batch is copied into the plan for its size, built on first
+        use and kept for the model's life, so ``x`` is never written.
+        Plans hold scratch memory only (0.19 MB for VanillaCNN at
+        batch 1), but every call with that batch size shares them: one
+        ``Model`` must not run ``forward`` from two threads at once.
         """
         x = np.asarray(x, dtype=np.float32)
         if x.shape[1:] != self.input_shape:
             raise ModelError(
                 f"{self.name}: expected batch of {self.input_shape}, got {x.shape}"
             )
-        for layer in self.layers:
-            x = layer.forward(x)
-            if precision is not Precision.FP32:
-                x = cast(x, precision)
-        return x
+        plan = self._plans.get(len(x))
+        if plan is None:
+            plan = self._plans[len(x)] = self._plan(len(x))
+        view, steps, out = plan
+        np.copyto(view, x)
+        rounded = precision is not Precision.FP32
+        for step, destination in steps:
+            step()
+            if rounded:
+                np.copyto(destination, cast(destination, precision))
+        return out.copy()
+
+    def _plan(self, n: int) -> tuple:
+        """Slots and bound steps for a batch of ``n``: each layer's step
+        writes the input view of the next layer's slot, the last one a
+        plan-owned output buffer."""
+        slots = [layer._slot(n) for layer in self.layers]
+        out = np.empty((n, *self.output_shape), dtype=np.float32)
+        destinations = [view for __, view in slots[1:]] + [out]
+        steps = [
+            (layer._step(buffer, destination), destination)
+            for layer, (buffer, __), destination in zip(self.layers, slots, destinations)
+        ]
+        return slots[0][1], steps, out
 
     def predict_classes(self, x: np.ndarray) -> np.ndarray:
         """Argmax class per sample (0 = down, 1 = stationary, 2 = up)."""

@@ -228,7 +228,7 @@ class FeedHandler:
         stats = self.parser.stats
         stats.frames_seen += 1
         try:
-            __, payload = decode_udp_frame(frame)
+            payload = decode_udp_frame(frame)
             sequence, body = decode_sequenced_payload(payload)
         except ProtocolError:
             stats.frames_malformed += 1

@@ -1,7 +1,6 @@
 """Wire protocols: UDP framing, SBE market data, FIX and iLink3 order entry."""
 
 from repro.protocol.framing import (
-    FrameInfo,
     decode_udp_frame,
     encode_udp_frame,
     ipv4_checksum,
@@ -35,7 +34,6 @@ from repro.protocol.sbe import (
 
 __all__ = [
     "FieldSpec",
-    "FrameInfo",
     "GroupSpec",
     "ILink3Cancel",
     "ILink3Order",

@@ -9,7 +9,6 @@ exercises the same parsing work a hardware pipeline performs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 from repro.errors import ChecksumError, ProtocolError
 
@@ -19,6 +18,7 @@ IP_PROTO_UDP = 17
 _ETH_HEADER = struct.Struct("!6s6sH")
 _IP_HEADER = struct.Struct("!BBHHHBBH4s4s")
 _UDP_HEADER = struct.Struct("!HHHH")
+_IP_WORDS = struct.Struct("!10H")  # the IPv4 header as checksummed words
 # Market-data feeds number every datagram so receivers can detect loss;
 # the 4-byte big-endian counter leads the UDP payload.
 _SEQ_PREFIX = struct.Struct("!I")
@@ -30,23 +30,15 @@ TOTAL_HEADER_LEN = ETH_HEADER_LEN + IP_HEADER_LEN + UDP_HEADER_LEN
 SEQ_PREFIX_LEN = _SEQ_PREFIX.size  # 4
 
 
-@dataclass(frozen=True)
-class FrameInfo:
-    """Decoded addressing info of a UDP frame."""
-
-    src_mac: bytes
-    dst_mac: bytes
-    src_ip: bytes
-    dst_ip: bytes
-    src_port: int
-    dst_port: int
-
-
 def ipv4_checksum(header: bytes) -> int:
     """RFC 791 ones'-complement checksum over a (checksum-zeroed) header."""
     if len(header) % 2:
         header += b"\x00"
-    total = sum(struct.unpack(f"!{len(header) // 2}H", header))
+    return _fold(sum(struct.unpack(f"!{len(header) // 2}H", header)))
+
+
+def _fold(total: int) -> int:
+    """Ones'-complement of a 16-bit word sum, carries folded back in."""
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
@@ -96,11 +88,12 @@ def decode_sequenced_payload(payload: bytes) -> tuple[int, bytes]:
     return sequence, payload[SEQ_PREFIX_LEN:]
 
 
-def decode_udp_frame(frame: bytes) -> tuple[FrameInfo, bytes]:
+def decode_udp_frame(frame: bytes) -> bytes:
     """Strip Ethernet/IPv4/UDP headers, validating lengths and checksum.
 
     Returns:
-        (frame info, UDP payload bytes)
+        The UDP payload bytes.  Addressing is not decoded: the feed
+        takes every frame that passes these checks.
 
     Raises:
         ProtocolError: on malformed frames.
@@ -108,34 +101,23 @@ def decode_udp_frame(frame: bytes) -> tuple[FrameInfo, bytes]:
     """
     if len(frame) < TOTAL_HEADER_LEN:
         raise ProtocolError(f"frame too short: {len(frame)} bytes")
-    dst_mac, src_mac, ethertype = _ETH_HEADER.unpack_from(frame, 0)
+    __, __, ethertype = _ETH_HEADER.unpack_from(frame, 0)
     if ethertype != ETHERTYPE_IPV4:
         raise ProtocolError(f"unexpected ethertype 0x{ethertype:04x}")
 
-    ip_bytes = frame[ETH_HEADER_LEN : ETH_HEADER_LEN + IP_HEADER_LEN]
-    (ver_ihl, __, ip_total, __, __, __, proto, __, src_ip, dst_ip) = _IP_HEADER.unpack(
-        ip_bytes
-    )
+    words = _IP_WORDS.unpack_from(frame, ETH_HEADER_LEN)
+    ver_ihl = words[0] >> 8  # header byte 0
     if ver_ihl != 0x45:
         raise ProtocolError(f"unsupported IP version/IHL 0x{ver_ihl:02x}")
+    proto = words[4] & 0xFF  # header byte 9
     if proto != IP_PROTO_UDP:
         raise ProtocolError(f"not UDP (protocol {proto})")
-    zeroed = ip_bytes[:10] + b"\x00\x00" + ip_bytes[12:]
-    if ipv4_checksum(zeroed) != struct.unpack("!H", ip_bytes[10:12])[0]:
+    stored = words[5]  # header bytes 10-11, summed as zero
+    if _fold(sum(words) - stored) != stored:
         raise ChecksumError("IPv4 header checksum mismatch")
 
     udp_off = ETH_HEADER_LEN + IP_HEADER_LEN
-    src_port, dst_port, udp_len, __ = _UDP_HEADER.unpack_from(frame, udp_off)
-    payload_len = udp_len - UDP_HEADER_LEN
-    if payload_len < 0 or udp_off + udp_len > len(frame):
+    __, __, udp_len, __ = _UDP_HEADER.unpack_from(frame, udp_off)
+    if udp_len < UDP_HEADER_LEN or udp_off + udp_len > len(frame):
         raise ProtocolError(f"UDP length {udp_len} inconsistent with frame")
-    payload = frame[udp_off + UDP_HEADER_LEN : udp_off + udp_len]
-    info = FrameInfo(
-        src_mac=src_mac,
-        dst_mac=dst_mac,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-    )
-    return info, payload
+    return frame[udp_off + UDP_HEADER_LEN : udp_off + udp_len]

@@ -61,7 +61,7 @@ class PacketParser:
         """
         self.stats.frames_seen += 1
         try:
-            __, payload = decode_udp_frame(frame)
+            payload = decode_udp_frame(frame)
             return self.parse_payload(payload)
         except ProtocolError:
             self.stats.frames_malformed += 1

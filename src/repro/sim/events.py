@@ -68,21 +68,3 @@ class EventQueue:
         time, _, _, kind, payload = heapq.heappop(self._heap)
         self._now = time
         return time, kind, payload
-
-    def peek_time(self) -> int | None:
-        """Timestamp of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def peek(self) -> tuple[int, int] | None:
-        """(time, kind priority) of the next event without popping.
-
-        The fast simulator loop merges this heap against its sorted
-        arrival stream; the kind priority decides ties exactly as
-        :meth:`pop` would (heap events with kind < ARRIVAL precede
-        same-instant stream arrivals, heap ARRIVAL re-pushes — always
-        later insertions than the stream — yield to it).
-        """
-        if not self._heap:
-            return None
-        entry = self._heap[0]
-        return entry[0], entry[1]

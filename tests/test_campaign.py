@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tempfile
 
 import pytest
 
@@ -314,6 +315,17 @@ def test_mini_campaign_passes_and_report_is_byte_reproducible(tmp_path):
     )
     # Different output directories, byte-identical reports.
     assert first.report_path.read_bytes() == second.report_path.read_bytes()
+
+
+def test_campaign_without_a_directory_leaves_nothing_behind(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_CAMPAIGN_DIR", raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    outcome = run_campaign(
+        scenario_names=("nominal",), duration_s=DURATION, base_seed=1, jobs=1
+    )
+    assert outcome.passed and outcome.report["runs"]
+    assert outcome.report_path is None
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_campaign_repeat_audits_determinism(tmp_path):

@@ -1,26 +1,41 @@
 """Parity of the feed path around the model against its earlier code.
 
 The oracles are the implementations the shipping code replaced: the
-dict-per-entry SBE decoder, a book mirror that keeps one synthetic
-order per level in a :class:`LimitOrderBook`, the feature vector written
-one numpy element at a time, and BF16 rounding through temporaries and a
-final copy.  On valid input the shipping code must give the same events,
-snapshots and float32 bits (compared as ``uint32``); on truncated input
-the same exception.
+UDP unframer that decoded every address into a ``FrameInfo`` and
+checksummed a zeroed copy of the IPv4 header, the dict-per-entry SBE
+decoder, a book mirror that keeps one synthetic order per level in a
+:class:`LimitOrderBook`, the feature vector written one numpy element at
+a time, and BF16 rounding through temporaries and a final copy.  On
+valid input the shipping code must give the same payloads, events,
+snapshots and float32 bits (compared as ``uint32``); on truncated or
+corrupt input the same exception.
 """
 
 import random
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.errors import ProtocolError
+from perfbench.feed import SESSION_S, build_frames
+from repro.errors import ChecksumError, ProtocolError
+from repro.market import generate_session
 from repro.lob.events import BookUpdate, TradeTick, UpdateAction
 from repro.lob.order import Order, Side
 from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
 from repro.nn.precision import to_bf16
 from repro.pipeline.feed_handler import LocalBookMirror
+from repro.protocol.framing import (
+    ETH_HEADER_LEN,
+    ETHERTYPE_IPV4,
+    IP_HEADER_LEN,
+    IP_PROTO_UDP,
+    TOTAL_HEADER_LEN,
+    UDP_HEADER_LEN,
+    decode_udp_frame,
+    ipv4_checksum,
+)
 from repro.protocol.ilink3 import CANCEL_ORDER_516, NEW_ORDER_SINGLE_514
 from repro.protocol.sbe import (
     ENTRY_BID,
@@ -44,6 +59,43 @@ _MESSAGE_HEADER = struct.Struct("<HHHH")
 _GROUP_HEADER = struct.Struct("<HB")
 
 # --- oracles ------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FrameInfo:
+    src_mac: bytes
+    dst_mac: bytes
+    src_ip: bytes
+    dst_ip: bytes
+    src_port: int
+    dst_port: int
+
+
+def oracle_decode_udp_frame(frame):
+    """The unframer returning ``(FrameInfo, payload)``, checksumming a
+    zeroed copy of the header through ``ipv4_checksum``."""
+    if len(frame) < TOTAL_HEADER_LEN:
+        raise ProtocolError(f"frame too short: {len(frame)} bytes")
+    dst_mac, src_mac, ethertype = struct.unpack_from("!6s6sH", frame, 0)
+    if ethertype != ETHERTYPE_IPV4:
+        raise ProtocolError(f"unexpected ethertype 0x{ethertype:04x}")
+    ip_bytes = frame[ETH_HEADER_LEN : ETH_HEADER_LEN + IP_HEADER_LEN]
+    (ver_ihl, __, __, __, __, __, proto, __, src_ip, dst_ip) = struct.unpack(
+        "!BBHHHBBH4s4s", ip_bytes
+    )
+    if ver_ihl != 0x45:
+        raise ProtocolError(f"unsupported IP version/IHL 0x{ver_ihl:02x}")
+    if proto != IP_PROTO_UDP:
+        raise ProtocolError(f"not UDP (protocol {proto})")
+    zeroed = ip_bytes[:10] + b"\x00\x00" + ip_bytes[12:]
+    if ipv4_checksum(zeroed) != struct.unpack("!H", ip_bytes[10:12])[0]:
+        raise ChecksumError("IPv4 header checksum mismatch")
+    udp_off = ETH_HEADER_LEN + IP_HEADER_LEN
+    src_port, dst_port, udp_len, __ = struct.unpack_from("!HHHH", frame, udp_off)
+    if udp_len - UDP_HEADER_LEN < 0 or udp_off + udp_len > len(frame):
+        raise ProtocolError(f"UDP length {udp_len} inconsistent with frame")
+    payload = frame[udp_off + UDP_HEADER_LEN : udp_off + udp_len]
+    return FrameInfo(src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port), payload
 
 
 def oracle_decode_message(schema, payload):
@@ -216,6 +268,71 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except Exception as exc:  # the exception is the result
         return ("raised", type(exc), str(exc))
+
+
+# --- UDP framing -----------------------------------------------------------------
+
+
+def oracle_payload(frame):
+    return oracle_decode_udp_frame(frame)[1]
+
+
+@pytest.fixture(scope="module")
+def tape_frames():
+    """The feed-to-order benchmark's frames for its seed-5 session."""
+    tape = generate_session(duration_s=SESSION_S, seed=5)
+    directory = SecurityDirectory()
+    directory.register(tape[0].snapshot.symbol)
+    frames, __ = build_frames(tape, directory)
+    return frames
+
+
+def corruptions(frame):
+    """Every single-bit flip of the IPv4 header (its checksum word
+    included), a wrong ethertype, IHL and protocol (checksum fixed up,
+    so the field check is what rejects them) and every UDP length."""
+    ip = ETH_HEADER_LEN
+    for bit in range(8 * IP_HEADER_LEN):
+        out = bytearray(frame)
+        out[ip + bit // 8] ^= 0x80 >> (bit % 8)
+        yield bytes(out)
+    for offset, value in ((12, b"\x86\xdd"), (ip, b"\x46"), (ip, b"\x55"), (ip + 9, b"\x06")):
+        out = bytearray(frame)
+        out[offset : offset + len(value)] = value
+        out[ip + 10 : ip + 12] = b"\x00\x00"
+        checksum = ipv4_checksum(bytes(out[ip : ip + IP_HEADER_LEN]))
+        out[ip + 10 : ip + 12] = checksum.to_bytes(2, "big")
+        yield bytes(out)
+    udp_len = ip + IP_HEADER_LEN + 4
+    for length in range(len(frame) - udp_len + 4):
+        out = bytearray(frame)
+        out[udp_len : udp_len + 2] = length.to_bytes(2, "big")
+        yield bytes(out)
+
+
+def test_unframer_matches_frame_info_oracle_on_tape_frames(tape_frames):
+    for frame in tape_frames:
+        assert decode_udp_frame(frame) == oracle_payload(frame)
+
+
+def test_unframer_matches_oracle_on_every_truncation_and_corruption(tape_frames):
+    messages = set()
+    for frame in tape_frames[::20]:
+        cases = [frame[:cut] for cut in range(len(frame))] + list(corruptions(frame))
+        for case in cases:
+            got = outcome(decode_udp_frame, case)
+            assert got == outcome(oracle_payload, case)
+            if got[0] == "raised":
+                messages.add(got[2])
+    for rejection in (
+        "frame too short",
+        "unexpected ethertype",
+        "unsupported IP version/IHL",
+        "not UDP",
+        "checksum mismatch",
+        "inconsistent with frame",
+    ):
+        assert any(rejection in message for message in messages), rejection
 
 
 # --- SBE decode ------------------------------------------------------------------

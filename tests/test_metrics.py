@@ -369,6 +369,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["regressions"] >= 1
 
+    def test_diff_help_exits_zero_and_prints_the_default(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            metrics_main(["diff", "--help"])
+        assert exited.value.code == 0
+        assert "(default 5%)" in " ".join(capsys.readouterr().out.split())
+
     def test_show_subcommand(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", _manifest())
         assert metrics_main(["show", a]) == 0

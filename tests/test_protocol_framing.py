@@ -4,26 +4,25 @@ import pytest
 
 from repro.errors import ChecksumError, ProtocolError
 from repro.protocol import decode_udp_frame, encode_udp_frame, ipv4_checksum
-from repro.protocol.framing import TOTAL_HEADER_LEN
+from repro.protocol.framing import ETH_HEADER_LEN, IP_HEADER_LEN, TOTAL_HEADER_LEN
 
 
 class TestRoundtrip:
     def test_payload_roundtrip(self):
         payload = b"hello market data"
         frame = encode_udp_frame(payload)
-        info, out = decode_udp_frame(frame)
-        assert out == payload
+        assert decode_udp_frame(frame) == payload
 
     def test_addressing_preserved(self):
         frame = encode_udp_frame(b"x", src_port=1234, dst_port=5678)
-        info, __ = decode_udp_frame(frame)
-        assert info.src_port == 1234
-        assert info.dst_port == 5678
+        assert decode_udp_frame(frame) == b"x"
+        udp = frame[ETH_HEADER_LEN + IP_HEADER_LEN :]
+        assert int.from_bytes(udp[0:2], "big") == 1234
+        assert int.from_bytes(udp[2:4], "big") == 5678
 
     def test_empty_payload(self):
         frame = encode_udp_frame(b"")
-        __, out = decode_udp_frame(frame)
-        assert out == b""
+        assert decode_udp_frame(frame) == b""
 
     def test_frame_length(self):
         payload = b"q" * 100
@@ -111,5 +110,5 @@ class TestSequencedPayload:
         )
 
         frame = encode_udp_frame(encode_sequenced_payload(42, b"body"))
-        __, payload = decode_udp_frame(frame)
+        payload = decode_udp_frame(frame)
         assert decode_sequenced_payload(payload) == (42, b"body")
