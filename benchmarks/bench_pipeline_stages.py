@@ -3,10 +3,9 @@ Python implementations — useful for harness health, not paper numbers).
 
 The LOB section additionally persists ``benchmarks/results/
 BENCH_lob_speed.json`` — a run manifest whose deterministic ``lob.*``
-metric counters come from a pinned replay (CI diffs it against the
-committed baseline) and whose ``perf`` section records the measured
-single-book ops/s (reference vs array, per-op vs batch) and the batched
-multi-book scaling ratio.
+metric counters and ``result`` checksums come from a pinned replay (CI
+diffs it against the committed baseline) and whose ``perf`` section
+records the measured single-book per-op ops/s (reference vs array).
 
 The market-generation section persists ``BENCH_market_gen.json`` the
 same way: deterministic ``lob.*`` counters from a pinned session of the
@@ -28,16 +27,12 @@ from conftest import RESULTS_DIR
 from repro.errors import MatchingError, OrderBookError
 from repro.lob import (
     ArrayMatchingEngine,
-    BatchedBooks,
-    BookOps,
-    OpBatch,
     Order,
     OrderType,
+    ReplaySession,
     Side,
     TimeInForce,
 )
-from repro.lob.array_matching import OP_CANCEL, OP_SUBMIT
-from repro.lob.batched import OP_LIMIT, OP_MARKET, OP_NOP, OP_REDUCE
 from repro.market import MarketConfig, MarketSimulator, cached_session, generate_session
 from repro.metrics import MetricRegistry
 from repro.metrics.manifest import build_manifest, write_manifest
@@ -124,7 +119,7 @@ def test_bench_compiler(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# LOB engines: reference vs struct-of-arrays, single-book and batched
+# LOB engines: reference vs struct-of-arrays, single book
 # ---------------------------------------------------------------------------
 
 # Pinned stream for BENCH_lob_speed.json: seed and size fixed so the
@@ -132,6 +127,10 @@ def test_bench_compiler(benchmark):
 # byte-stable across machines and the CI diff can gate on them.
 LOB_STREAM_SEED = 1
 LOB_STREAM_OPS = 20_000
+
+# Stream row kinds.
+OP_SUBMIT = 0
+OP_CANCEL = 1
 
 # Pinned session for BENCH_market_gen.json (same discipline: the tape
 # digest and lob.* counters are deterministic, CI diffs them).
@@ -222,26 +221,18 @@ def _lob_per_op_rate(engine_factory, rows) -> float:
 
 
 def test_bench_lob_single_book(benchmark, record_table):
-    """Reference per-op vs array per-op vs array batch kernel ops/s.
+    """Reference per-op vs array per-op ops/s on the pinned stream.
 
-    Gate: the batch kernel must clear 5x the reference engine (measured
-    ~15x; 5x leaves shared-runner headroom), with per-op/batch parity
-    re-asserted on the same stream.
+    The manifest's ``result`` checksums come from one
+    :class:`ReplaySession` over the same stream, re-asserted against
+    the per-op replay's sequence and book.
     """
     rows = _lob_stream(LOB_STREAM_SEED, LOB_STREAM_OPS)
-    batch = OpBatch.from_rows(rows)
     rates = {}
 
     def measure():
         rates["reference_per_op"] = _lob_per_op_rate(MatchingEngine, rows)
         rates["array_per_op"] = _lob_per_op_rate(ArrayMatchingEngine, rows)
-        best = 0.0
-        for _ in range(3):
-            engine = ArrayMatchingEngine()
-            t0 = time.perf_counter()
-            engine.replay_ops("ES", batch)
-            best = max(best, len(rows) / (time.perf_counter() - t0))
-        rates["array_batch"] = best
         return rates
 
     benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -253,21 +244,25 @@ def test_bench_lob_single_book(benchmark, record_table):
     for row in rows:
         _lob_apply(per_op, row)
     replayed = ArrayMatchingEngine()
-    stats = replayed.replay_ops("ES", batch)
-    assert stats.final_sequence == per_op._sequence
+    session = ReplaySession(replayed, "ES")
+    owner_id = session.intern("replay")
+    for kind, side, otype, tif, price, qty, order_id in rows:
+        if kind == OP_SUBMIT:
+            session.submit(side, otype, tif, price, qty, order_id, 0, owner_id)
+        else:
+            session.cancel(order_id)
+    session.commit()
+    assert session.sequence == per_op._sequence
     assert replayed.book("ES").bids.top(25) == per_op.book("ES").bids.top(25)
     assert replayed.book("ES").asks.top(25) == per_op.book("ES").asks.top(25)
 
-    speedup_batch = rates["array_batch"] / rates["reference_per_op"]
     speedup_per_op = rates["array_per_op"] / rates["reference_per_op"]
     record_table(
         "lob_speed",
         "Single-book LOB ops/s (20k-op seeded submit/cancel stream)\n"
         f"  reference per-op: {rates['reference_per_op']:,.0f}\n"
         f"  array per-op:     {rates['array_per_op']:,.0f}"
-        f"  ({speedup_per_op:.1f}x)\n"
-        f"  array batch:      {rates['array_batch']:,.0f}"
-        f"  ({speedup_batch:.1f}x)",
+        f"  ({speedup_per_op:.1f}x)",
     )
     manifest = build_manifest(
         run={
@@ -282,22 +277,18 @@ def test_bench_lob_single_book(benchmark, record_table):
         perf={
             "reference_ops_per_s": rates["reference_per_op"],
             "array_per_op_ops_per_s": rates["array_per_op"],
-            "array_batch_ops_per_s": rates["array_batch"],
-            "batch_speedup_vs_reference": speedup_batch,
         },
     )
     manifest["result"] = {
-        "n_ops": stats.n_ops,
-        "n_fills": stats.n_fills,
-        "traded_quantity": stats.traded_quantity,
-        "notional": stats.notional,
-        "rejected": stats.rejected,
-        "final_sequence": stats.final_sequence,
+        "n_ops": len(rows),
+        "n_fills": session.n_fills,
+        "traded_quantity": session.traded_quantity,
+        "notional": session.notional,
+        "rejected": session.rejected,
+        "final_sequence": session.sequence,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     write_manifest(RESULTS_DIR / "BENCH_lob_speed.json", manifest)
-    # Calibrated gate: measured ~15x on the reference container.
-    assert speedup_batch >= 5.0, rates
 
 
 def test_bench_market_gen(benchmark, record_table):
@@ -409,65 +400,3 @@ def test_bench_market_gen(benchmark, record_table):
     # Calibrated gates; see the docstring for measured headroom.
     assert speedup >= 3.0, rates
     assert per_op_ratio >= 1.0, rates
-
-
-def test_bench_lob_batched_scaling(benchmark, record_table):
-    """Adding books to BatchedBooks must cost well under linear."""
-
-    def step_cost(n_books, n_steps=60):
-        rng = np.random.default_rng(5)
-        books = BatchedBooks(n_books)
-        all_ops = []
-        for _ in range(n_steps):
-            kind = rng.choice(
-                [OP_LIMIT, OP_MARKET, OP_REDUCE, OP_NOP],
-                size=n_books,
-                p=[0.65, 0.1, 0.15, 0.1],
-            ).astype(np.int64)
-            all_ops.append(
-                BookOps(
-                    kind=kind,
-                    side=rng.integers(0, 2, n_books).astype(np.int64),
-                    price=rng.integers(95, 106, n_books).astype(np.int64),
-                    qty=rng.integers(1, 10, n_books).astype(np.int64),
-                    tif=rng.choice([0, 1, 2], size=n_books, p=[0.6, 0.3, 0.1]).astype(
-                        np.int64
-                    ),
-                )
-            )
-        t0 = time.perf_counter()
-        for ops in all_ops:
-            books.step(ops)
-        return (time.perf_counter() - t0) / n_steps
-
-    costs = {}
-
-    def measure():
-        costs["single_s"] = min(step_cost(1) for _ in range(3))
-        costs["wide_s"] = min(step_cost(64) for _ in range(3))
-        return costs
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    per_book_ratio = (costs["wide_s"] / 64) / costs["single_s"]
-    record_table(
-        "lob_batched",
-        "BatchedBooks step cost (random op per book per step)\n"
-        f"  1 book:   {costs['single_s'] * 1e6:,.0f} us/step\n"
-        f"  64 books: {costs['wide_s'] * 1e6:,.0f} us/step\n"
-        f"  per-book cost vs single: {per_book_ratio:.3f}x (sublinear < 0.5)",
-    )
-    payload = {
-        "batched_single_step_s": costs["single_s"],
-        "batched_wide_step_s": costs["wide_s"],
-        "batched_n_books": 64,
-        "batched_per_book_ratio": per_book_ratio,
-    }
-    path = RESULTS_DIR / "BENCH_lob_speed.json"
-    if path.exists():
-        import json
-
-        manifest = json.loads(path.read_text())
-        manifest.setdefault("perf", {}).update(payload)
-        write_manifest(path, manifest)
-    # Calibrated gate: measured ~0.05x; 0.5 keeps wide noise headroom.
-    assert per_book_ratio < 0.5, costs

@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from repro.lint.__main__ import DEFAULT_PATHS, _stats_payload
-from repro.lint import project_findings
-from repro.lint.cache import analyze_paths, project_findings_for
+from repro.lint import analyze, project_findings, project_findings_for
 
 BASELINE = Path("benchmarks/results/lint_baseline.json")
 
@@ -31,11 +30,10 @@ def current_stats() -> dict:
     roots = [Path(p) for p in DEFAULT_PATHS if Path(p).exists()]
     # DEFAULT_PATHS covers src/, so the project rules (RL007–RL009)
     # see the whole tree.
-    result = analyze_paths(roots)
-    findings = list(result.findings)
-    findings.extend(project_findings_for(list(result.facts)))
+    findings, facts = analyze(roots)
+    findings.extend(project_findings_for(facts))
     findings.extend(project_findings())
-    return _stats_payload(findings, result.files_scanned)
+    return _stats_payload(findings, len(facts))
 
 
 def main() -> int:

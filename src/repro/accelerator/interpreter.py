@@ -27,11 +27,6 @@ class InterpreterStats:
     special_instructions: int = 0
     active_pes: int = 0
 
-    @property
-    def total_instructions(self) -> int:
-        """All dynamic instructions executed."""
-        return self.mac_instructions + self.special_instructions
-
 
 class CGRAInterpreter:
     """Tile-level functional execution on a virtual PE grid."""

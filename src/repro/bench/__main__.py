@@ -4,10 +4,6 @@ Runs one (or every) figure reproduction and prints its rendered table.
 ``--jobs`` fans the figure's independent back-tests across a process
 pool (``REPRO_BENCH_JOBS`` sets the default); ``--duration`` overrides
 the simulated market time the same way ``REPRO_BENCH_DURATION`` does.
-
-``python -m repro.bench profile`` instead cProfiles one canonical
-ws+ds back-test and writes the top-25 cumulative report to
-``benchmarks/results/profile.txt`` (``--out`` overrides).
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from repro.bench.experiments import (
     run_fig11,
     run_fig12,
     run_fig13,
-    run_profile,
 )
 from repro.bench.runner import default_jobs
 
@@ -40,8 +35,8 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "figure",
-        choices=[*_FIGURES, "profile", "all"],
-        help="which figure reproduction to run ('profile' cProfiles one back-test)",
+        choices=[*_FIGURES, "all"],
+        help="which figure reproduction to run",
     )
     parser.add_argument(
         "--jobs",
@@ -63,19 +58,7 @@ def main(argv: "list[str] | None" = None) -> int:
         default=None,
         help="write per-run JSONL telemetry traces into this directory",
     )
-    parser.add_argument(
-        "--out",
-        default="benchmarks/results/profile.txt",
-        help="report path for the 'profile' subcommand",
-    )
     args = parser.parse_args(argv)
-
-    if args.figure == "profile":
-        report = run_profile(
-            duration_s=args.duration, seed=args.seed, out_path=args.out
-        )
-        print(report)
-        return 0
 
     names = list(_FIGURES) if args.figure == "all" else [args.figure]
     for name in names:

@@ -727,60 +727,3 @@ def run_degradation(
     return DegradationResult(
         fault_rates=tuple(fault_rates), miss=miss, pnl=pnl, failures=failures
     )
-
-
-# --- Profiling -------------------------------------------------------------------
-
-
-def run_profile(
-    duration_s: float | None = None,
-    seed: int = 1,
-    model: str = "deeplob",
-    n_accelerators: int = 4,
-    top: int = 25,
-    out_path=None,
-) -> str:
-    """cProfile one canonical ws+ds back-test; return the top-``top`` report.
-
-    The system profile (model-cost calibration, sweep grids) and the
-    workload are warmed *before* the profiler starts, so the report shows
-    the steady-state event loop rather than one-time setup cost.  ``out_path``
-    additionally writes the report to disk (the committed snapshot lives
-    at ``benchmarks/results/profile.txt``).
-    """
-    import cProfile
-    import io
-    import pstats
-    from pathlib import Path
-
-    duration = duration_s or bench_duration_s()
-    profile = lighttrader_profile()
-    workload = headline_workload(duration, seed)
-    config = SimConfig(
-        model=model,
-        n_accelerators=n_accelerators,
-        workload_scheduling=True,
-        dvfs_scheduling=True,
-    )
-    # Warm run: forces cost benchmarking, sweep-table construction and
-    # workload generation out of the timed region.
-    Backtester(workload, profile, config).run()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = Backtester(workload, profile, config).run()
-    profiler.disable()
-    buffer = io.StringIO()
-    pstats.Stats(profiler, stream=buffer).sort_stats("cumulative").print_stats(top)
-    header = (
-        f"# cProfile (top {top} by cumulative time) of one warmed ws+ds "
-        f"back-test\n"
-        f"# model={model} n_accelerators={n_accelerators} "
-        f"duration={duration:g}s queries={len(workload)}\n"
-        f"# {result.describe()}\n"
-    )
-    report = header + buffer.getvalue()
-    if out_path is not None:
-        path = Path(out_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report)
-    return report

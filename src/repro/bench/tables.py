@@ -45,8 +45,3 @@ def _fmt(value: object) -> str:
             return f"{value:.1f}"
         return f"{value:.3f}"
     return str(value)
-
-
-def ratio_note(measured: float, paper: float, label: str) -> str:
-    """A one-line paper-vs-measured comparison."""
-    return f"{label}: measured {measured:.2f} vs paper {paper:.2f}"

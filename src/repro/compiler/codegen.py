@@ -30,16 +30,6 @@ class BlockProgram:
     lsu_streams: list[InstructionStream] = field(default_factory=list)
     fmt_stream: InstructionStream | None = None
 
-    @property
-    def dynamic_instructions(self) -> int:
-        """Total dynamic instruction count across all elements."""
-        total = sum(s.dynamic_count for s in self.pe_streams)
-        total += sum(s.dynamic_count for s in self.epe_streams)
-        total += sum(s.dynamic_count for s in self.lsu_streams)
-        if self.fmt_stream is not None:
-            total += self.fmt_stream.dynamic_count
-        return total
-
     def imem_bytes(self) -> int:
         """Encoded footprint across all streams."""
         streams = self.pe_streams + self.epe_streams + self.lsu_streams

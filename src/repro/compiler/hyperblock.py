@@ -69,11 +69,6 @@ class Hyperblock:
         """True when the block contains a sequential recurrence."""
         return any(n.kind is OpKind.RECURRENT_STEP for n in self.nodes)
 
-    @property
-    def special_heavy(self) -> bool:
-        """True when EPE work dominates tensor work (softmax/norm blocks)."""
-        return self.aux_ops > 4 * max(self.macs, 1)
-
 
 def partition(dfg: DataflowGraph, config: AcceleratorConfig) -> list[Hyperblock]:
     """Split ``dfg`` into an ordered list of hyperblocks."""

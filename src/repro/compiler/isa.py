@@ -43,16 +43,6 @@ class Opcode(enum.Enum):
         """True for EPE-only special-function opcodes."""
         return self in (Opcode.EXP, Opcode.LOG, Opcode.TANH, Opcode.RECIP, Opcode.SHIFT)
 
-    @property
-    def is_memory(self) -> bool:
-        """True for LSU opcodes."""
-        return self in (Opcode.LOAD, Opcode.STORE)
-
-    @property
-    def is_fmt(self) -> bool:
-        """True for data-formatter opcodes."""
-        return self in (Opcode.FMT_LOWER, Opcode.FMT_TRANSPOSE, Opcode.FMT_SHUFFLE)
-
 
 @dataclass(frozen=True)
 class InstructionRun:

@@ -52,11 +52,6 @@ class BlockMapping:
     weight_bytes: int
     is_recurrent: bool
 
-    @property
-    def exposed_cycles(self) -> int:
-        """Cycles this block adds to the schedule once pipelined."""
-        return max(self.compute_cycles, self.memory_cycles)
-
 
 def map_block(block: Hyperblock, config: AcceleratorConfig) -> BlockMapping:
     """Estimate cycles and utilisation for ``block`` on ``config``'s grid."""

@@ -1,7 +1,7 @@
 """The paper's core contribution: PPW-driven workload and DVFS scheduling."""
 
 from repro.core.dvfs import DVFSScheduler
-from repro.core.ppw import ppw, ppw_increase
+from repro.core.ppw import ppw
 from repro.core.scheduler import ScheduleDecision, WorkloadScheduler
 
 __all__ = [
@@ -9,5 +9,4 @@ __all__ = [
     "ScheduleDecision",
     "WorkloadScheduler",
     "ppw",
-    "ppw_increase",
 ]

@@ -241,7 +241,8 @@ class DVFSScheduler:
                 # faster point is over the headroom too.
                 break
             new_total = old_total - remaining + DVFS_SWITCH_NS + new_remaining
-            # ppw_increase, with the old term computed once per device.
+            # Algorithm 2's ppw_inc: the PPW gain of this move, with
+            # the old term computed once per device.
             new_ppw = ppw(batch, new_total, new_power)
             if old_ppw is None:
                 old_ppw = ppw(batch, old_total, old_power)

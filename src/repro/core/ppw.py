@@ -21,16 +21,3 @@ def ppw(batch_size: int, latency_ns: int, power_w: float) -> float:
     if power_w <= 0:
         raise SchedulingError(f"power must be positive, got {power_w}")
     return batch_size / ((latency_ns / 1e9) * power_w)
-
-
-def ppw_increase(
-    batch_size: int,
-    old_latency_ns: int,
-    old_power_w: float,
-    new_latency_ns: int,
-    new_power_w: float,
-) -> float:
-    """Marginal PPW change of a DVFS move (Algorithm 2's ``ppw_inc``)."""
-    return ppw(batch_size, new_latency_ns, new_power_w) - ppw(
-        batch_size, old_latency_ns, old_power_w
-    )

@@ -48,17 +48,6 @@ class SweepGrid:
     power_w: np.ndarray
     max_batch: int
 
-    @property
-    def max_t_total_ns(self) -> int:
-        """Worst-case candidate latency over the whole grid.
-
-        This is the decision-memo validity horizon: once every pending
-        deadline sits at least this far in the future, no deadline can
-        reject any candidate and the sweep outcome depends only on the
-        (queue depth, floor, cap, budget) signature.
-        """
-        return int(self.t_total_ns.max()) if self.t_total_ns.size else 0
-
     @classmethod
     def build(
         cls,

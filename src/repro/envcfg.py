@@ -253,20 +253,6 @@ METRICS_EXPORT = _declare(
     )
 )
 
-LINT_CACHE = _declare(
-    EnvVar(
-        "REPRO_LINT_CACHE",
-        "path",
-        None,
-        "Directory for the incremental lint cache: per-file findings "
-        "and project facts keyed by content + path + lint-engine "
-        "version, so a warm `python -m repro.lint` run re-parses only "
-        "changed files. Unset disables caching; `--cache DIR` "
-        "overrides.",
-    )
-)
-
-
 def declared() -> Iterator[EnvVar]:
     """All registered variables, in declaration (documentation) order."""
     return iter(_REGISTRY.values())

@@ -40,10 +40,6 @@ class AcceleratorError(ReproError):
     """Invalid accelerator operation (bad DVFS point, busy device...)."""
 
 
-class PowerBudgetError(AcceleratorError):
-    """An operation would exceed the configured power budget."""
-
-
 class SchedulingError(ReproError):
     """The scheduler was configured or driven inconsistently."""
 

@@ -123,12 +123,3 @@ class FaultInjector:
     def begin_stall(self, now: int, duration_ns: int) -> None:
         """Open (or extend) a DMA stall window."""
         self.stall_until = max(self.stall_until, now + duration_ns)
-
-    def observed_counts(self) -> dict[str, int]:
-        """What the run actually experienced (for reports)."""
-        return {
-            "feed_dropped": self.feed_dropped,
-            "feed_duplicates_suppressed": self.feed_duplicates_suppressed,
-            "feed_reordered": self.feed_reordered,
-            "stalled_arrivals": self.stalled_arrivals,
-        }

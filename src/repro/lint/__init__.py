@@ -42,20 +42,25 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.lint.facts import ModuleFacts
 
 __all__ = [
     "FileContext",
     "Finding",
     "Rule",
     "all_rules",
+    "analyze",
     "build_context",
     "iter_python_files",
-    "lint_file",
-    "lint_paths",
     "lint_source",
     "project_findings",
+    "project_findings_for",
     "register",
     "repo_relative",
+    "stale_suppression_findings",
 ]
 
 _DIRECTIVE = re.compile(
@@ -291,13 +296,17 @@ def lint_source(
     Returns *all* findings; suppressed ones carry ``suppressed=True`` so
     callers can count them without re-parsing.
     """
+    return _run_rules(build_context(source, path), codes)
+
+
+def _run_rules(ctx: FileContext, codes: Sequence[str] | None = None) -> list[Finding]:
+    """The per-file rules over one parsed file, sorted by location."""
     registry = all_rules()
     selected = codes if codes is not None else sorted(registry)
-    ctx = build_context(source, path)
     findings: list[Finding] = []
     for code in selected:
         rule_cls = registry[code]
-        if not rule_cls.applies(path):
+        if not rule_cls.applies(ctx.path):
             continue
         rule = rule_cls(ctx)
         rule.check()
@@ -313,19 +322,6 @@ def repo_relative(path: Path, root: Path | None = None) -> str:
         return path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def lint_file(path: Path, root: Path | None = None) -> list[Finding]:
-    """Lint one file on disk."""
-    rel = repo_relative(path, root)
-    try:
-        source = path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        return [Finding("RL000", rel, 1, 1, f"unreadable: {exc}")]
-    try:
-        return lint_source(source, rel)
-    except SyntaxError as exc:
-        return [Finding("RL000", rel, exc.lineno or 1, 1, f"syntax error: {exc.msg}")]
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -344,12 +340,91 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def lint_paths(paths: Iterable[Path], root: Path | None = None) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths``; deterministic order."""
+def analyze(
+    paths: Iterable[Path], root: Path | None = None
+) -> tuple[list[Finding], list[ModuleFacts]]:
+    """Per-file findings and project facts for every ``.py`` under ``paths``.
+
+    Each file is read and parsed once: the per-file rules (RL001–RL005)
+    and :func:`~repro.lint.facts.extract_facts` share that parse.  An
+    unreadable or unparsable file yields one RL000 finding and empty
+    facts, so there is one facts entry per file scanned.  Findings come
+    back in deterministic (path, line, rule, col) order.
+    """
+    from repro.lint.facts import ModuleFacts, extract_facts
+
     findings: list[Finding] = []
+    facts: list[ModuleFacts] = []
     for file_path in iter_python_files(paths):
-        findings.extend(lint_file(file_path, root))
-    return findings
+        rel = repo_relative(file_path, root)
+        try:
+            ctx = build_context(file_path.read_text(), rel)
+        except (OSError, UnicodeDecodeError) as exc:
+            findings.append(Finding("RL000", rel, 1, 1, f"unreadable: {exc}"))
+            facts.append(ModuleFacts(path=rel, module=None))
+            continue
+        except SyntaxError as exc:
+            findings.append(
+                Finding("RL000", rel, exc.lineno or 1, 1, f"syntax error: {exc.msg}")
+            )
+            facts.append(ModuleFacts(path=rel, module=None))
+            continue
+        findings.extend(_run_rules(ctx))
+        facts.append(extract_facts(ctx))
+    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
+    return findings, facts
+
+
+def project_findings_for(facts: list[ModuleFacts]) -> list[Finding]:
+    """Cross-module findings (RL007–RL009) over already-extracted facts."""
+    from repro.lint.project import build_model
+    from repro.lint.project_rules import project_rule_findings
+
+    model = build_model(facts)
+    return project_rule_findings(model)
+
+
+def stale_suppression_findings(
+    facts: list[ModuleFacts], findings: list[Finding]
+) -> list[Finding]:
+    """Suppression directives that no longer suppress anything.
+
+    A stale ``# repro-lint: disable=RLxxx`` hides nothing today but
+    would silently swallow a future finding — ``--strict-suppressions``
+    turns each one into an RL000 finding.
+    """
+    by_file: dict[str, list[Finding]] = {}
+    for finding in findings:
+        by_file.setdefault(finding.path, []).append(finding)
+    stale: list[Finding] = []
+    for module_facts in facts:
+        file_findings = by_file.get(module_facts.path, [])
+        for line, scope, codes, covers in module_facts.directives:
+            for code in codes:
+                if scope == "file":
+                    matched = any(
+                        code == "all" or f.rule == code for f in file_findings
+                    )
+                else:
+                    matched = any(
+                        (code == "all" or f.rule == code) and f.line in covers
+                        for f in file_findings
+                    )
+                if not matched:
+                    stale.append(
+                        Finding(
+                            rule="RL000",
+                            path=module_facts.path,
+                            line=line,
+                            col=1,
+                            message=(
+                                f"stale suppression: {scope}-level "
+                                f"disable={code} matches no finding"
+                            ),
+                        )
+                    )
+    stale.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
+    return stale
 
 
 def project_findings(root: Path | None = None) -> list[Finding]:

@@ -3,9 +3,8 @@
 Runs the per-file rules (RL001–RL005) over the requested paths and the
 whole-program rules (RL007–RL009) over the project model, which is
 always built from the full ``src/`` tree so cross-module findings are
-caught even when only one file is being linted.  The incremental cache
-(``REPRO_LINT_CACHE`` / ``--cache``) makes that full-model build cheap
-on warm runs.
+caught even when only one file is being linted.  Every file is read and
+parsed once per run (:func:`repro.lint.analyze`).
 """
 
 from __future__ import annotations
@@ -14,14 +13,15 @@ import argparse
 import json
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 from repro import envcfg
-from repro.lint import Finding, all_rules, iter_python_files
-from repro.lint.cache import (
-    LintCache,
-    analyze_paths,
+from repro.lint import (
+    Finding,
+    all_rules,
+    analyze,
+    iter_python_files,
+    project_findings,
     project_findings_for,
     stale_suppression_findings,
 )
@@ -122,28 +122,10 @@ def main(argv: list[str] | None = None) -> int:
         "RL000 findings (exit 1)",
     )
     parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="incremental cache directory (overrides REPRO_LINT_CACHE); "
-        "unchanged files skip parsing and rules entirely",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyse uncached files in N processes (default 1)",
-    )
-    parser.add_argument(
         "--stats",
         metavar="FILE",
         help="write per-rule finding/suppression counts as JSON "
         "(benchmarks/results/lint_baseline.json tracks drift across PRs)",
-    )
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        help="print wall time and cache hit counts to stderr",
     )
     parser.add_argument(
         "--env-table",
@@ -169,7 +151,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"    {project_cls.rationale}")
         return 0
 
-    started = time.perf_counter()
     if args.changed:
         changed = _changed_paths()
         if changed is None:
@@ -186,20 +167,12 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 2
 
-    cache: LintCache | None = None
-    cache_dir = Path(args.cache) if args.cache else envcfg.get_path("REPRO_LINT_CACHE")
-    if cache_dir is not None:
-        cache = LintCache(cache_dir)
-
-    result = analyze_paths(roots, cache=cache, jobs=max(1, args.jobs))
-    findings = list(result.findings)
-    facts = list(result.facts)
-    requested_facts = list(result.facts)
-    files = result.files_scanned
+    findings, requested_facts = analyze(roots)
+    files = len(requested_facts)
 
     # Project rules follow calls across modules: widen the facts to the
-    # full src tree (cheap when cached) unless it is already covered by
-    # the requested paths.
+    # full src tree unless it is already covered by the requested paths.
+    facts = list(requested_facts)
     src_root = Path("src")
     covered = {f.path for f in facts}
     if src_root.is_dir():
@@ -209,13 +182,10 @@ def main(argv: list[str] | None = None) -> int:
             if p.as_posix() not in covered
         ]
         if extra_paths:
-            extra = analyze_paths(extra_paths, cache=cache, jobs=max(1, args.jobs))
-            facts.extend(extra.facts)
+            _, extra_facts = analyze(extra_paths)
+            facts.extend(extra_facts)
     findings.extend(project_findings_for(facts))
-
-    from repro.lint import project_findings as repo_level_findings
-
-    findings.extend(repo_level_findings())
+    findings.extend(project_findings())
     if args.strict_suppressions:
         # Only the explicitly requested files: the widened project facts
         # would drag the whole tree into a targeted pre-commit run.
@@ -240,14 +210,6 @@ def main(argv: list[str] | None = None) -> int:
         stats_path = Path(args.stats)
         stats_path.parent.mkdir(parents=True, exist_ok=True)
         stats_path.write_text(json.dumps(_stats_payload(findings, files), indent=2))
-
-    if args.timing:
-        elapsed = time.perf_counter() - started
-        hits = cache.hits if cache is not None else 0
-        print(
-            f"lint: {elapsed:.3f}s, {files} file(s), {hits} cache hit(s)",
-            file=sys.stderr,
-        )
 
     return 1 if unsuppressed else 0
 

@@ -2,19 +2,15 @@
 
 The cross-module rules (RL007–RL009 in :mod:`repro.lint.project_rules`)
 never re-read source files: everything they need from one module is
-condensed here into a :class:`ModuleFacts` — symbol tables, import
-edges, per-function call sites, RNG-stream facts, unit-suffix dataflow
+condensed here into a :class:`ModuleFacts` — symbol tables,
+per-function call sites, RNG-stream facts, unit-suffix dataflow
 summaries, mutable module globals, and the suppression directives that
-apply to project-level findings.
-
-:class:`ModuleFacts` round-trips through plain JSON (``to_dict`` /
-``from_dict``), which is what makes the incremental cache
-(:mod:`repro.lint.cache`) possible: an unchanged file contributes its
-cached facts to the project model without being parsed again.
+apply to project-level findings.  :func:`repro.lint.analyze` extracts
+them from the same parse the per-file rules run on.
 
 Facts are *summaries*, deliberately lossy: they keep exactly what the
 project rules consume, in deterministic (sorted or source) order, so a
-facts dict is a pure function of the source text.
+module's facts are a pure function of its source text.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from repro.lint import FileContext
 
 __all__ = [
     "CallFacts",
-    "FACTS_VERSION",
     "FunctionFacts",
     "GENERATOR_METHODS",
     "ModuleFacts",
@@ -37,10 +32,6 @@ __all__ = [
     "module_name_for",
     "unit_of_identifier",
 ]
-
-# Bump when the extracted shape changes: cached facts with a different
-# version are discarded (see repro.lint.cache).
-FACTS_VERSION = 2
 
 # numpy Generator draw methods and the bit-stream they consume.  Methods
 # mapped to the same class are draw-for-draw equivalent (``random`` and
@@ -149,29 +140,6 @@ class CallFacts:
     kwarg_units: tuple[tuple[str, str | None], ...]  # (keyword, unit)
     nargs: int
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "target": self.target,
-            "arg_units": list(self.arg_units),
-            "kwarg_units": [list(pair) for pair in self.kwarg_units],
-            "nargs": self.nargs,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "CallFacts":
-        return cls(
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            target=str(data["target"]),
-            arg_units=tuple(data["arg_units"]),  # type: ignore[arg-type]
-            kwarg_units=tuple(
-                (str(k), u) for k, u in data["kwarg_units"]  # type: ignore[union-attr]
-            ),
-            nargs=int(data["nargs"]),  # type: ignore[arg-type]
-        )
-
 
 @dataclass(frozen=True)
 class RngEvent:
@@ -190,27 +158,6 @@ class RngEvent:
     seeded: bool = True
     in_loop: bool = False
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "kind": self.kind,
-            "line": self.line,
-            "col": self.col,
-            "detail": self.detail,
-            "seeded": self.seeded,
-            "in_loop": self.in_loop,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "RngEvent":
-        return cls(
-            kind=str(data["kind"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            detail=str(data["detail"]),
-            seeded=bool(data["seeded"]),
-            in_loop=bool(data["in_loop"]),
-        )
-
 
 @dataclass(frozen=True)
 class PendingMix:
@@ -227,29 +174,6 @@ class PendingMix:
     known_unit: str
     call_target: str  # dotted target whose return unit decides the verdict
     via: str  # the local name the call result travelled through
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "op": self.op,
-            "known_name": self.known_name,
-            "known_unit": self.known_unit,
-            "call_target": self.call_target,
-            "via": self.via,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "PendingMix":
-        return cls(
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            op=str(data["op"]),
-            known_name=str(data["known_name"]),
-            known_unit=str(data["known_unit"]),
-            call_target=str(data["call_target"]),
-            via=str(data["via"]),
-        )
 
 
 @dataclass
@@ -281,64 +205,6 @@ class FunctionFacts:
     unit_findings: tuple[tuple[int, int, str], ...] = ()
     pending_mixes: tuple[PendingMix, ...] = ()
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "line": self.line,
-            "is_public": self.is_public,
-            "params": list(self.params),
-            "param_units": dict(self.param_units),
-            "decorators": list(self.decorators),
-            "calls": [call.to_dict() for call in self.calls],
-            "rng_events": [event.to_dict() for event in self.rng_events],
-            "rng_untracked": [list(item) for item in self.rng_untracked],
-            "env_reads": [list(item) for item in self.env_reads],
-            "global_reads": list(self.global_reads),
-            "global_writes": list(self.global_writes),
-            "return_unit": self.return_unit,
-            "unit_findings": [list(item) for item in self.unit_findings],
-            "pending_mixes": [mix.to_dict() for mix in self.pending_mixes],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "FunctionFacts":
-        return cls(
-            qualname=str(data["qualname"]),
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            is_public=bool(data["is_public"]),
-            params=tuple(data["params"]),  # type: ignore[arg-type]
-            param_units=dict(data["param_units"]),  # type: ignore[arg-type]
-            decorators=tuple(data["decorators"]),  # type: ignore[arg-type]
-            calls=tuple(
-                CallFacts.from_dict(c) for c in data["calls"]  # type: ignore[union-attr]
-            ),
-            rng_events=tuple(
-                RngEvent.from_dict(e)
-                for e in data["rng_events"]  # type: ignore[union-attr]
-            ),
-            rng_untracked=tuple(
-                (int(a), int(b), str(c))
-                for a, b, c in data["rng_untracked"]  # type: ignore[union-attr]
-            ),
-            env_reads=tuple(
-                (int(a), int(b), str(c))
-                for a, b, c in data["env_reads"]  # type: ignore[union-attr]
-            ),
-            global_reads=tuple(data["global_reads"]),  # type: ignore[arg-type]
-            global_writes=tuple(data["global_writes"]),  # type: ignore[arg-type]
-            return_unit=data["return_unit"],  # type: ignore[arg-type]
-            unit_findings=tuple(
-                (int(a), int(b), str(c))
-                for a, b, c in data["unit_findings"]  # type: ignore[union-attr]
-            ),
-            pending_mixes=tuple(
-                PendingMix.from_dict(m)
-                for m in data["pending_mixes"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass
 class ModuleFacts:
@@ -349,7 +215,6 @@ class ModuleFacts:
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     # class name -> sorted method names (public and private).
     classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    imports: tuple[str, ...] = ()  # imported repro.* modules, sorted
     # Module-level mutable bindings (dict/list/set literal or call).
     mutable_globals: dict[str, int] = field(default_factory=dict)
     # Module-level envcfg reads / RNG constructions: (line, col, detail).
@@ -371,68 +236,6 @@ class ModuleFacts:
             return True
         codes = self.line_suppressions.get(line)
         return bool(codes) and (code in codes or "all" in codes)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "version": FACTS_VERSION,
-            "path": self.path,
-            "module": self.module,
-            "functions": {k: v.to_dict() for k, v in self.functions.items()},
-            "classes": {k: list(v) for k, v in self.classes.items()},
-            "imports": list(self.imports),
-            "mutable_globals": dict(self.mutable_globals),
-            "module_env_reads": [list(item) for item in self.module_env_reads],
-            "module_rng_creations": [
-                list(item) for item in self.module_rng_creations
-            ],
-            "module_level_calls": list(self.module_level_calls),
-            "line_suppressions": {
-                str(k): list(v) for k, v in self.line_suppressions.items()
-            },
-            "file_suppressions": list(self.file_suppressions),
-            "directives": [
-                [line, scope, list(codes), list(covers)]
-                for line, scope, codes, covers in self.directives
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "ModuleFacts":
-        return cls(
-            path=str(data["path"]),
-            module=data["module"],  # type: ignore[arg-type]
-            functions={
-                str(k): FunctionFacts.from_dict(v)
-                for k, v in data["functions"].items()  # type: ignore[union-attr]
-            },
-            classes={
-                str(k): tuple(v)
-                for k, v in data["classes"].items()  # type: ignore[union-attr]
-            },
-            imports=tuple(data["imports"]),  # type: ignore[arg-type]
-            mutable_globals={
-                str(k): int(v)
-                for k, v in data["mutable_globals"].items()  # type: ignore[union-attr]
-            },
-            module_env_reads=tuple(
-                (int(a), int(b), str(c))
-                for a, b, c in data["module_env_reads"]  # type: ignore[union-attr]
-            ),
-            module_rng_creations=tuple(
-                (int(a), int(b), str(c))
-                for a, b, c in data["module_rng_creations"]  # type: ignore[union-attr]
-            ),
-            module_level_calls=tuple(data["module_level_calls"]),  # type: ignore[arg-type]
-            line_suppressions={
-                int(k): tuple(v)
-                for k, v in data["line_suppressions"].items()  # type: ignore[union-attr]
-            },
-            file_suppressions=tuple(data["file_suppressions"]),  # type: ignore[arg-type]
-            directives=tuple(
-                (int(line), str(scope), tuple(codes), tuple(covers))
-                for line, scope, codes, covers in data["directives"]  # type: ignore[union-attr]
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1083,17 +886,6 @@ def extract_facts(ctx: FileContext) -> ModuleFacts:
     """Condense one parsed file into its :class:`ModuleFacts`."""
     facts = ModuleFacts(path=ctx.path, module=module_name_for(ctx.path))
     _module_level_scan(ctx, facts)
-
-    imports: set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "repro" or alias.name.startswith("repro."):
-                    imports.add(alias.name)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if node.module == "repro" or node.module.startswith("repro."):
-                imports.add(node.module)
-    facts.imports = tuple(sorted(imports))
 
     def extract_function(
         node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str

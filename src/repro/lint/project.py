@@ -1,8 +1,8 @@
-"""Whole-program model over ``src/repro``: imports, symbols, call graph.
+"""Whole-program model over ``src/repro``: symbols and call graph.
 
 Built once per lint run from the per-file :class:`~repro.lint.facts.
-ModuleFacts` (cached or freshly extracted), then handed to the
-cross-module rules in :mod:`repro.lint.project_rules`.  Resolution is
+ModuleFacts`, then handed to the cross-module rules in
+:mod:`repro.lint.project_rules`.  Resolution is
 deliberately *conservative*: a call site resolves to every definition it
 could plausibly reach, and rules that need precision (RL009 unit
 checks) only act when the resolution is unique.
@@ -33,7 +33,7 @@ class FunctionRef:
 
 @dataclass
 class ProjectModel:
-    """Import graph, symbol tables and conservative call graph."""
+    """Symbol tables and conservative call graph."""
 
     modules: dict[str, ModuleFacts] = field(default_factory=dict)
     # method name -> [(module, qualname)] over every class in the model.
@@ -61,9 +61,6 @@ class ProjectModel:
 
     # -- lookups ------------------------------------------------------------
 
-    def facts_for(self, module: str) -> ModuleFacts | None:
-        return self.modules.get(module)
-
     def function(self, module: str, qualname: str) -> FunctionRef | None:
         facts = self.modules.get(module)
         if facts is None:
@@ -72,12 +69,6 @@ class ProjectModel:
         if fn is None:
             return None
         return FunctionRef(module, qualname, fn)
-
-    def class_methods(self, module: str, cls: str) -> tuple[str, ...] | None:
-        facts = self.modules.get(module)
-        if facts is None:
-            return None
-        return facts.classes.get(cls)
 
     # -- call resolution ----------------------------------------------------
 
@@ -170,21 +161,9 @@ class ProjectModel:
                         queue.append(callee.key)
         return seen
 
-    # -- import graph -------------------------------------------------------
-
-    def importers_of(self, module: str) -> list[str]:
-        """Model modules importing ``module`` (or a parent package)."""
-        importers: list[str] = []
-        for name, facts in self.modules.items():
-            for imported in facts.imports:
-                if imported == module or module.startswith(imported + "."):
-                    importers.append(name)
-                    break
-        return sorted(importers)
-
 
 def build_model(facts: list[ModuleFacts]) -> ProjectModel:
-    """Assemble the project model from per-file facts (cached or fresh).
+    """Assemble the project model from per-file facts.
 
     Files outside ``repro`` (tests, scripts) carry ``module=None`` and
     are skipped: the model describes the library, not its harnesses.

@@ -4,7 +4,7 @@ Unlike RL001–RL005 these cannot be answered file-by-file: they trace RNG
 taint through calls, walk the call graph from the pool workers' entry
 points, and propagate unit-suffix facts interprocedurally.  Each rule
 consumes only the extracted :mod:`~repro.lint.facts` — never source
-text — so cached facts make a warm run skip parsing entirely.
+text.
 
 ========  ==================================================================
 RL007     RNG-stream discipline: every draw descends from a seeded Generator

@@ -12,7 +12,7 @@ object-per-order golden model it replaced; the differential suite
 the same :class:`~repro.lob.events.MarketEvent` stream and the same
 sequence numbers.
 
-Three execution surfaces:
+Two execution surfaces:
 
 - the per-operation API (``submit``/``cancel``/``replace`` returning
   :class:`MatchResult`), used by the gateway and the tests;
@@ -24,10 +24,7 @@ Three execution surfaces:
   O(1).  Sequence numbers advance exactly as the per-op path would, so
   a per-op replay of the same stream lands on the same sequence — this
   is what lets the market generator plan its agents' ops on a session
-  and still produce the tapes of the per-op loop;
-- :meth:`ArrayMatchingEngine.replay_ops`, a thin driver that replays a
-  whole :class:`OpBatch` through one :class:`ReplaySession` and returns
-  :class:`ReplayStats` checksums.
+  and still produce the tapes of the per-op loop.
 
 FOK is enforced for MARKET orders too (historically only LIMIT+FOK was
 checked, so a MARKET+FOK order silently degraded to IOC), and
@@ -41,8 +38,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NoReturn
 
-import numpy as np
-
 from repro.errors import MatchingError, OrderBookError
 from repro.lob.array_book import ArrayBook, ArraySide
 from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
@@ -50,20 +45,10 @@ from repro.lob.order import Fill, Order, OrderType, Side, TimeInForce
 from repro.metrics import NULL_METRICS, MetricRegistry
 
 __all__ = [
-    "OP_CANCEL",
-    "OP_REPLACE",
-    "OP_SUBMIT",
     "ArrayMatchingEngine",
     "MatchResult",
-    "OpBatch",
     "ReplaySession",
-    "ReplayStats",
 ]
-
-# replay_ops operation kinds.
-OP_SUBMIT = 0
-OP_CANCEL = 1
-OP_REPLACE = 2
 
 _NIL = -1
 
@@ -84,73 +69,6 @@ def _raise_no_change(oid: int) -> NoReturn:
     raise MatchingError(f"replace of order {oid} changes nothing")
 
 
-@dataclass(frozen=True)
-class ReplayStats:
-    """Aggregate checksums of one :meth:`ArrayMatchingEngine.replay_ops`.
-
-    Enough to prove the batch path tracked the per-op path exactly
-    without materialising per-op results: the fill count, total traded
-    quantity, the price-weighted notional, how many submissions an FOK
-    check rejected, and the engine sequence number after the batch.
-    """
-
-    n_ops: int
-    n_fills: int
-    traded_quantity: int
-    notional: int
-    rejected: int
-    final_sequence: int
-
-
-class OpBatch:
-    """A struct-of-arrays operation stream for the batched kernel.
-
-    Parallel columns, one row per operation: ``kind`` (OP_SUBMIT /
-    OP_CANCEL / OP_REPLACE), ``side``, ``otype``, ``tif``, ``price``,
-    ``qty`` and ``order_id``.  For OP_REPLACE, ``price``/``qty`` are the
-    replacement values (<= 0 keeps the old one — mirroring the per-op
-    API's ``None``).  Build incrementally with :meth:`append` or pass
-    ready-made arrays.
-    """
-
-    __slots__ = ("kind", "side", "otype", "tif", "price", "qty", "order_id")
-
-    def __init__(
-        self,
-        kind: np.ndarray,
-        side: np.ndarray,
-        otype: np.ndarray,
-        tif: np.ndarray,
-        price: np.ndarray,
-        qty: np.ndarray,
-        order_id: np.ndarray,
-    ) -> None:
-        self.kind = np.asarray(kind, dtype=np.int8)
-        self.side = np.asarray(side, dtype=np.int8)
-        self.otype = np.asarray(otype, dtype=np.int8)
-        self.tif = np.asarray(tif, dtype=np.int8)
-        self.price = np.asarray(price, dtype=np.int64)
-        self.qty = np.asarray(qty, dtype=np.int64)
-        self.order_id = np.asarray(order_id, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return int(self.kind.size)
-
-    @classmethod
-    def from_rows(cls, rows: list[tuple[int, int, int, int, int, int, int]]) -> OpBatch:
-        """Build a batch from (kind, side, otype, tif, price, qty, id) rows."""
-        arr = np.asarray(rows, dtype=np.int64).reshape(-1, 7)
-        return cls(
-            kind=arr[:, 0],
-            side=arr[:, 1],
-            otype=arr[:, 2],
-            tif=arr[:, 3],
-            price=arr[:, 4],
-            qty=arr[:, 5],
-            order_id=arr[:, 6],
-        )
-
-
 class ReplaySession:
     """A checked-out, mutation-ready copy of one symbol's array book.
 
@@ -162,7 +80,7 @@ class ReplaySession:
     buffers into the book and flushes metrics in O(1).  Until commit the
     live book is untouched, so a raising sequence of ops is atomic: drop
     the session (don't commit) and the book still holds its last
-    committed state — the same contract ``replay_ops`` has always had.
+    committed state.
 
     Sequence-number accounting matches the per-op engine tick for tick
     (one per trade print, one per book update), which is what lets the
@@ -173,7 +91,7 @@ class ReplaySession:
     ``notional``, ``n_fills`` and friends.
 
     One deliberate nuance: :meth:`replace` keeps the resting row's
-    owner (like the per-op API) rather than stamping the batch owner.
+    owner (like the per-op API) rather than taking a new one.
     Owner ids are interned into the live :class:`OwnerTable` as ops
     arrive — the table is an append-only cache, so names interned by an
     aborted session are harmless.
@@ -932,70 +850,4 @@ class ArrayMatchingEngine:
             price=price,
             volume=book_side.volume[idx],
             sequence=self._next_seq(),
-        )
-
-    # -- batched kernel --------------------------------------------------------
-
-    def replay_ops(
-        self,
-        symbol: str,
-        ops: OpBatch,
-        timestamp: int = 0,
-        owner: str = "replay",
-    ) -> ReplayStats:
-        """Replay a whole operation stream through one :class:`ReplaySession`.
-
-        The book state is checked out into flat Python buffers once, the
-        stream replays with price-time priority as pure integer
-        arithmetic (no per-op ``Order``/``Fill``/``MatchResult``/event
-        objects), and the result commits back to the struct-of-arrays
-        book once at the end.  The engine sequence number advances
-        exactly as the per-op path would (one tick per trade print, one
-        per book update), so a per-op replay of the same stream lands on
-        the same ``final_sequence``; the returned :class:`ReplayStats`
-        checksums (fills, traded quantity, price-weighted notional) let
-        the differential suite prove the paths equivalent.
-
-        Operations that would raise in the per-op API (cancel of an
-        unknown id, no-op replace) raise here too — atomically: a
-        raising batch leaves the book untouched (the checked-out session
-        is simply discarded, never committed).
-        """
-        session = ReplaySession(self, symbol)
-        owner_id = session.intern(owner)
-        kinds = ops.kind.tolist()
-        in_sides = ops.side.tolist()
-        in_otypes = ops.otype.tolist()
-        in_tifs = ops.tif.tolist()
-        in_prices = ops.price.tolist()
-        in_qtys = ops.qty.tolist()
-        in_oids = ops.order_id.tolist()
-        submit = session.submit
-        cancel = session.cancel
-        replace = session.replace
-        for i in range(len(kinds)):
-            kind = kinds[i]
-            if kind == OP_SUBMIT:
-                submit(
-                    in_sides[i],
-                    in_otypes[i],
-                    in_tifs[i],
-                    in_prices[i],
-                    in_qtys[i],
-                    in_oids[i],
-                    timestamp,
-                    owner_id,
-                )
-            elif kind == OP_CANCEL:
-                cancel(in_oids[i])
-            else:
-                replace(in_oids[i], in_prices[i], in_qtys[i], timestamp)
-        session.commit()
-        return ReplayStats(
-            n_ops=len(kinds),
-            n_fills=session.n_fills,
-            traded_quantity=session.traded_quantity,
-            notional=session.notional,
-            rejected=session.rejected,
-            final_sequence=session.sequence,
         )

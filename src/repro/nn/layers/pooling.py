@@ -78,7 +78,7 @@ class Flatten(Layer):
         return (int(np.prod(input_shape)),)
 
     def _forward(self, x):
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(len(x), *self.output_shape)
 
 
 class ToSequence(Layer):

@@ -367,9 +367,6 @@ class PendingIndexStore:
             enqueue_time=enqueue,
         )
 
-    def deadline_of(self, index: int) -> int:
-        return self.dl_list[index]
-
     # -- queue management --------------------------------------------------------
 
     def pending_count(self) -> int:

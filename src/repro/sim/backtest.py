@@ -635,7 +635,7 @@ class Backtester:
 
         def record_drop_index(index: int, drop_ns: int, reason: str) -> None:
             """Score a lazily-stored drop; materialise only for tracing."""
-            metrics.record_drop_ids(index, dl_list[index])
+            metrics.record_drop_ids(dl_list[index])
             if spans_on:
                 victim = store.materialise(index)
                 victim.dropped = True
@@ -910,7 +910,7 @@ class Backtester:
                         nb = len(batch)
                         for index in batch:
                             metrics.record_completion_ids(
-                                index, dl_list[index], ts_list[index], order, nb
+                                dl_list[index], ts_list[index], order, nb
                             )
                         if batch and light_on:
                             for index in batch:
@@ -1177,7 +1177,7 @@ class Backtester:
         last_ns = 0
 
         def record_drop_index(index: int, drop_ns: int, reason: str) -> None:
-            metrics.record_drop_ids(index, dl_list[index])
+            metrics.record_drop_ids(dl_list[index])
             if spans_on:
                 victim = store.materialise(index)
                 victim.dropped = True
@@ -1225,7 +1225,7 @@ class Backtester:
                     index = query
                     order = now + post_ns
                     metrics.record_completion_ids(
-                        index, dl_list[index], ts_list[index], order, 1
+                        dl_list[index], ts_list[index], order, 1
                     )
                     if light_on:
                         telemetry.record_completion_light(

@@ -74,7 +74,6 @@ class MetricsCollector:
     completed_late: int = 0
     dropped: int = 0
     unscored: int = 0
-    trace: list = field(default_factory=list)  # (query_id, responded_in_time)
     _energy_j: float = 0.0
     _power_time_ns: int = 0
     _peak_power_w: float = 0.0
@@ -112,28 +111,25 @@ class MetricsCollector:
         self._m_batch.record(batch_size)
         if order_time <= query.deadline:
             self.responded += 1
-            self.trace.append((query.query_id, True))
             self._latencies_us.append((order_time - query.arrival) / 1_000.0)
             self._m_responded.inc()
             self._m_t2t.record(order_time - query.arrival)
         else:
             self.completed_late += 1
-            self.trace.append((query.query_id, False))
             self._m_late.inc()
             self._m_deadline_miss.inc()
         self.registry.maybe_flush(order_time)
 
     def record_completion_ids(
         self,
-        query_id: int,
         deadline: int,
         arrival: int,
         order_time: int,
         batch_size: int,
     ) -> None:
-        """Identity-only completion recording for the fast loop's lazy
-        path: counter-, trace- and float-identical to
-        :meth:`record_completion` without a materialised :class:`Query`."""
+        """Plain-int completion recording for the fast loop's lazy path:
+        counter- and float-identical to :meth:`record_completion`
+        without a materialised :class:`Query`."""
         if deadline < 0:
             self.unscored += 1
             self._m_unscored.inc()
@@ -142,31 +138,28 @@ class MetricsCollector:
         self._m_batch.record(batch_size)
         if order_time <= deadline:
             self.responded += 1
-            self.trace.append((query_id, True))
             self._latencies_us.append((order_time - arrival) / 1_000.0)
             self._m_responded.inc()
             self._m_t2t.record(order_time - arrival)
         else:
             self.completed_late += 1
-            self.trace.append((query_id, False))
             self._m_late.inc()
             self._m_deadline_miss.inc()
         self.registry.maybe_flush(order_time)
 
     def record_drop(self, query: Query) -> None:
         """A query was dropped before completing."""
-        self.record_drop_ids(query.query_id, query.deadline)
+        self.record_drop_ids(query.deadline)
 
-    def record_drop_ids(self, query_id: int, deadline: int) -> None:
-        """Identity-only drop recording for the fast loop's lazy path:
-        counter- and trace-identical to :meth:`record_drop` without
-        requiring a materialised :class:`Query`."""
+    def record_drop_ids(self, deadline: int) -> None:
+        """Plain-int drop recording for the fast loop's lazy path:
+        counter-identical to :meth:`record_drop` without requiring a
+        materialised :class:`Query`."""
         if deadline < 0:
             self.unscored += 1
             self._m_unscored.inc()
         else:
             self.dropped += 1
-            self.trace.append((query_id, False))
             self._m_dropped.inc()
             self._m_deadline_miss.inc()
 

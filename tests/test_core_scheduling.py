@@ -9,7 +9,7 @@ from repro.accelerator import (
     PowerModel,
 )
 from repro.baselines import lighttrader_profile
-from repro.core import DVFSScheduler, WorkloadScheduler, ppw, ppw_increase
+from repro.core import DVFSScheduler, WorkloadScheduler, ppw
 from repro.errors import SchedulingError
 from repro.units import us_to_ns
 
@@ -34,10 +34,6 @@ class TestPPW:
 
     def test_lower_latency_higher_ppw(self):
         assert ppw(1, 500, 1.0) > ppw(1, 1000, 1.0)
-
-    def test_increase_sign(self):
-        assert ppw_increase(1, 1000, 1.0, 500, 1.0) > 0
-        assert ppw_increase(1, 1000, 1.0, 1000, 2.0) < 0
 
     def test_invalid_inputs(self):
         with pytest.raises(SchedulingError):

@@ -46,7 +46,6 @@ def test_registry_contents_and_defaults():
         "REPRO_METRICS_FLUSH_NS",
         "REPRO_METRICS_EXPORT",
         "REPRO_TAPE_CACHE",
-        "REPRO_LINT_CACHE",
     }
     assert {var.kind for var in by_name.values()} == {"int", "float", "path"}
     assert by_name["REPRO_TAPE_CACHE"].default is None

@@ -8,12 +8,17 @@ and a suppression case.
 
 from __future__ import annotations
 
+import ast
+import json
+import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
-from repro.lint import build_context
+from repro.lint import analyze, build_context, project_findings_for
+from repro.lint.__main__ import main as lint_main
 from repro.lint.facts import extract_facts
 from repro.lint.project import build_model
 from repro.lint.project_rules import project_rule_findings
@@ -429,3 +434,127 @@ def test_real_repo_is_project_clean():
     model = build_model(facts)
     findings = [f for f in project_rule_findings(model) if not f.suppressed]
     assert findings == [], [f.render() for f in findings]
+
+
+# ---------------------------------------------------------------------------
+# one analysis path and the CLI
+# ---------------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def write_tree(root: Path, files: dict[str, str]) -> list[Path]:
+    paths = []
+    for rel, source in files.items():
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source)
+        paths.append(target)
+    return paths
+
+
+def test_rl009_cross_module_finding_from_analyzed_files(tmp_path: Path):
+    # A cross-module RL009 finding: the callee's unit-suffixed parameter
+    # lives in one file, the mismatched call in the other.
+    sources = {
+        "src/repro/core/admit.py": """
+def admit(deadline_ns):
+    return deadline_ns
+""",
+        "src/repro/core/caller.py": """
+from repro.core.admit import admit
+
+def caller(cutoff_ms):
+    return admit(cutoff_ms)
+""",
+    }
+    files = write_tree(tmp_path / "tree", sources)
+    findings, facts = analyze(files, root=tmp_path)
+    assert findings == []
+    assert [m.module for m in facts] == ["repro.core.admit", "repro.core.caller"]
+    project = project_findings_for(facts)
+    assert any(
+        f.rule == "RL009" and "'deadline_ns' expects" in f.message for f in project
+    )
+
+
+def test_cli_parses_each_file_once(tmp_path: Path, monkeypatch, capsys):
+    # One requested file plus the rest of src/, which the CLI widens to
+    # for the project rules: every file is parsed exactly once.
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/core/admit.py": "def admit(deadline_ns):\n    return deadline_ns\n",
+            "src/repro/core/caller.py": "def caller(cutoff_ns):\n    return cutoff_ns\n",
+            "src/repro/sim/loop.py": "x_ns = 1\n",
+        },
+    )
+    parsed: Counter[str] = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed[str(filename)] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    assert lint_main(["src/repro/core/caller.py", "--strict-suppressions"]) == 0
+    assert "1 file(s) scanned" in capsys.readouterr().out
+    assert parsed == Counter(
+        {
+            "src/repro/core/admit.py": 1,
+            "src/repro/core/caller.py": 1,
+            "src/repro/sim/loop.py": 1,
+        }
+    )
+
+
+def test_cli_changed_mode(tmp_path: Path):
+    if shutil.which("git") is None:
+        return
+    tree = tmp_path / "repo"
+    write_tree(
+        tree,
+        {
+            "clean.py": "x_ns = 1\n",
+            "untouched.py": "total = deadline_ns + horizon_s\n",
+        },
+    )
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "HOME": str(tmp_path)}
+    run = lambda *cmd: subprocess.run(
+        list(cmd), cwd=tree, env=env, capture_output=True, text=True, check=True
+    )
+    run("git", "init", "-q")
+    run("git", "config", "user.email", "t@example.com")
+    run("git", "config", "user.name", "t")
+    run("git", "add", ".")
+    run("git", "commit", "-qm", "seed")
+
+    # Only the newly added dirty file is linted; the committed dirty
+    # file is invisible to --changed.
+    (tree / "new.py").write_text("bad = a_ns + b_s\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.lint", "--changed", "--format", "json"],
+        cwd=tree,
+        env={**env, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1, result.stdout + result.stderr
+    payload = json.loads(result.stdout)
+    assert {f["path"] for f in payload} == {"new.py"}
+
+
+def test_cli_changed_outside_git_is_usage_error(tmp_path: Path):
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.lint", "--changed"],
+        cwd=tmp_path,
+        env={
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+            "PATH": "/usr/bin:/bin:/usr/local/bin",
+        },
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "git checkout" in result.stderr

@@ -7,9 +7,9 @@ same fills (prices, quantities, maker ids and owners), same
 :class:`MarketEvent` stream with the same sequence numbers, same books
 afterwards.  These tests drive seeded randomized op streams
 (submit/cancel/replace across order types and TIFs) through both
-engines per-op, through ``replay_ops`` as one batch, and through the
-reference market generator on either engine end-to-end (byte-identical
-tapes) — the same checks the lob-parity CI gate runs.
+engines per-op, through one :class:`ReplaySession` as a batch, and
+through the reference market generator on either engine end-to-end
+(byte-identical tapes) — the same checks the lob-parity CI gate runs.
 """
 
 from __future__ import annotations
@@ -24,14 +24,20 @@ from repro.lob import (
     ArrayMatchingEngine,
     Order,
     OrderType,
+    ReplaySession,
     Side,
     TimeInForce,
 )
-from repro.lob.array_matching import OP_CANCEL, OP_REPLACE, OP_SUBMIT, OpBatch
+from repro.metrics import MetricRegistry
 from tests.oracles.market import reference_session
 from tests.oracles.matching import MatchingEngine
 
 SYMBOL = "ES"
+
+# Stream row kinds.
+OP_SUBMIT = 0
+OP_CANCEL = 1
+OP_REPLACE = 2
 
 
 def make_stream(seed: int, n_ops: int = 2500) -> list[tuple[int, ...]]:
@@ -144,38 +150,71 @@ def test_per_op_differential_parity(seed):
     assert array.book(SYMBOL).asks.top(25) == reference.book(SYMBOL).asks.top(25)
 
 
-@pytest.mark.parametrize("seed", [3, 19])
-def test_batch_replay_matches_per_op(seed):
-    rows = valid_rows(make_stream(seed))
-    per_op = ArrayMatchingEngine()
+def play(session, rows, timestamp=0, owner="replay"):
+    """Play stream rows onto ``session`` without committing it.
+
+    Replacement price/quantity <= 0 keeps the old value, as ``None``
+    does in the per-op API.
+    """
+    owner_id = session.intern(owner)
+    for kind, side, otype, tif, price, qty, order_id in rows:
+        if kind == OP_SUBMIT:
+            session.submit(side, otype, tif, price, qty, order_id, timestamp, owner_id)
+        elif kind == OP_CANCEL:
+            session.cancel(order_id)
+        else:
+            session.replace(order_id, price, qty, timestamp)
+
+
+def per_op_totals(engine, rows):
+    """(fills, traded quantity, notional, rejected) of a per-op replay."""
     n_fills = traded = notional = rejected = 0
     for row in rows:
-        result = apply_op(per_op, row)
+        result = apply_op(engine, row)
         if not result.accepted:
             rejected += 1
         for fill in result.fills:
             n_fills += 1
             traded += fill.quantity
             notional += fill.price * fill.quantity
+    return n_fills, traded, notional, rejected
 
-    batch = ArrayMatchingEngine()
-    stats = batch.replay_ops(SYMBOL, OpBatch.from_rows(rows))
-    assert stats.n_ops == len(rows)
-    assert stats.n_fills == n_fills
-    assert stats.traded_quantity == traded
-    assert stats.notional == notional
-    assert stats.rejected == rejected
-    assert stats.final_sequence == per_op._sequence
-    assert batch.book(SYMBOL).bids.top(25) == per_op.book(SYMBOL).bids.top(25)
-    assert batch.book(SYMBOL).asks.top(25) == per_op.book(SYMBOL).asks.top(25)
+
+@pytest.mark.parametrize("seed", [3, 19])
+def test_batch_replay_matches_per_op(seed):
+    rows = valid_rows(make_stream(seed))
+    per_op_registry = MetricRegistry()
+    per_op = ArrayMatchingEngine(metrics=per_op_registry)
+    reference = MatchingEngine()
+    totals = per_op_totals(per_op, rows)
+    assert per_op_totals(reference, rows) == totals
+
+    batch_registry = MetricRegistry()
+    batch = ArrayMatchingEngine(metrics=batch_registry)
+    session = ReplaySession(batch, SYMBOL)
+    play(session, rows)
+    session.commit()
+    assert batch_registry.public_snapshot() == per_op_registry.public_snapshot()
+    assert (
+        session.n_fills,
+        session.traded_quantity,
+        session.notional,
+        session.rejected,
+    ) == totals
+    assert batch._sequence == per_op._sequence == reference._sequence
+    for engine in (per_op, reference):
+        assert batch.book(SYMBOL).bids.top(25) == engine.book(SYMBOL).bids.top(25)
+        assert batch.book(SYMBOL).asks.top(25) == engine.book(SYMBOL).asks.top(25)
     assert not batch.book(SYMBOL).is_crossed()
 
 
 def test_per_op_calls_work_after_a_batch():
-    # The batch kernel checks arrays out into plain lists and commits
-    # them back; per-op calls on the same book must keep working.
+    # The session checks arrays out into plain lists and commits them
+    # back; per-op calls on the same book must keep working.
     engine = ArrayMatchingEngine()
-    engine.replay_ops(SYMBOL, OpBatch.from_rows(valid_rows(make_stream(5))))
+    session = ReplaySession(engine, SYMBOL)
+    play(session, valid_rows(make_stream(5)))
+    session.commit()
     probe = Order(side=Side.BID, price=2, quantity=3, order_id=10**9, owner="after")
     engine.submit(SYMBOL, probe, 1)
     assert probe.order_id in engine.book(SYMBOL)
@@ -189,14 +228,12 @@ def test_failed_batch_leaves_book_untouched():
         SYMBOL, Order(side=Side.BID, price=100, quantity=5, order_id=1), 0
     )
     before_bids = engine.book(SYMBOL).bids.top(5)
-    bad = OpBatch.from_rows(
-        [
-            (OP_SUBMIT, int(Side.ASK), 0, 0, 105, 5, 2),
-            (OP_CANCEL, 0, 0, 0, 0, 0, 999),  # unknown order: raises
-        ]
-    )
+    bad = [
+        (OP_SUBMIT, int(Side.ASK), 0, 0, 105, 5, 2),
+        (OP_CANCEL, 0, 0, 0, 0, 0, 999),  # unknown order: raises
+    ]
     with pytest.raises(OrderBookError):
-        engine.replay_ops(SYMBOL, bad)
+        play(ReplaySession(engine, SYMBOL), bad)  # never committed
     assert engine.book(SYMBOL).bids.top(5) == before_bids
     assert engine.book(SYMBOL).asks.top(5) == []  # ask from op 1 rolled back
     assert 2 not in engine.book(SYMBOL)

@@ -102,6 +102,13 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             model.forward(lob_batch((5,)))
 
+    @pytest.mark.parametrize("family", [benchmark_models, complexity_sweep])
+    def test_empty_batch_gives_empty_output(self, family):
+        for name, model in family().items():
+            out = model.forward(np.zeros((0, *model.input_shape), dtype=np.float32))
+            assert out.dtype == np.float32, name
+            assert out.shape == (0, 3), name
+
 
 class TestBF16:
     def test_idempotent(self):
