@@ -414,7 +414,7 @@ class WorkloadScheduler:
         exactly at the deadline is in time, so feasibility here is
         ``now + fastest_ns <= deadline``; conversely a query whose
         deadline equals ``now`` is already stale (see
-        ``OffloadEngine.drop_stale`` / ``Backtester._drop_stale``).
+        ``PendingIndexStore.drop_stale``).
         """
         fastest_ns = self._fastest_ns.get(model)
         if fastest_ns is None:

@@ -53,6 +53,7 @@ __all__ = [
     "Rule",
     "all_rules",
     "analyze",
+    "analyze_facts",
     "build_context",
     "iter_python_files",
     "lint_source",
@@ -113,6 +114,11 @@ class FileContext:
     # line number -> set of rule codes suppressed on that line.
     line_suppressions: dict[int, set[str]] = field(default_factory=dict)
     file_suppressions: set[str] = field(default_factory=set)
+    # One record per directive comment, (line, scope, sorted codes,
+    # covered lines), for the stale-suppression check.
+    directives: list[tuple[int, str, tuple[str, ...], tuple[int, ...]]] = field(
+        default_factory=list
+    )
 
     def dotted_name(self, node: ast.expr) -> str | None:
         """Resolve a Name/Attribute chain to a dotted path, expanding
@@ -232,20 +238,24 @@ def _parse_suppressions(ctx: FileContext) -> None:
         match = _DIRECTIVE.search(text)
         if match is None or _in_string_literal(spans, lineno, match.start()):
             continue
-        codes = {c.strip() for c in match.group("codes").split(",") if c.strip()}
+        codes = tuple(
+            sorted(c.strip() for c in match.group("codes").split(",") if c.strip())
+        )
         if match.group("scope"):
-            ctx.file_suppressions |= codes
+            ctx.file_suppressions.update(codes)
+            ctx.directives.append((lineno, "file", codes, ()))
             continue
-        targets = {lineno}
+        covers = [lineno]
         if text.lstrip().startswith("#"):
             # Standalone directive comment: cover the next code line too.
             for follow in range(lineno + 1, len(lines) + 1):
                 body = lines[follow - 1].strip()
                 if body and not body.startswith("#"):
-                    targets.add(follow)
+                    covers.append(follow)
                     break
-        for target in targets:
+        for target in covers:
             ctx.line_suppressions.setdefault(target, set()).update(codes)
+        ctx.directives.append((lineno, "line", codes, tuple(covers)))
 
 
 def _collect_imports(ctx: FileContext) -> None:
@@ -340,6 +350,26 @@ def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield candidate
 
 
+def _parse_files(
+    paths: Iterable[Path], root: Path | None
+) -> Iterator[tuple[str, FileContext | Finding]]:
+    """Read and parse each ``.py`` under ``paths`` once, yielding its
+    repo-relative path with its context, or with the RL000 finding for a
+    file that cannot be read or parsed."""
+    for file_path in iter_python_files(paths):
+        rel = repo_relative(file_path, root)
+        parsed: FileContext | Finding
+        try:
+            parsed = build_context(file_path.read_text(), rel)
+        except (OSError, UnicodeDecodeError) as exc:
+            parsed = Finding("RL000", rel, 1, 1, f"unreadable: {exc}")
+        except SyntaxError as exc:
+            parsed = Finding(
+                "RL000", rel, exc.lineno or 1, 1, f"syntax error: {exc.msg}"
+            )
+        yield rel, parsed
+
+
 def analyze(
     paths: Iterable[Path], root: Path | None = None
 ) -> tuple[list[Finding], list[ModuleFacts]]:
@@ -355,24 +385,29 @@ def analyze(
 
     findings: list[Finding] = []
     facts: list[ModuleFacts] = []
-    for file_path in iter_python_files(paths):
-        rel = repo_relative(file_path, root)
-        try:
-            ctx = build_context(file_path.read_text(), rel)
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(Finding("RL000", rel, 1, 1, f"unreadable: {exc}"))
+    for rel, parsed in _parse_files(paths, root):
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
             facts.append(ModuleFacts(path=rel, module=None))
             continue
-        except SyntaxError as exc:
-            findings.append(
-                Finding("RL000", rel, exc.lineno or 1, 1, f"syntax error: {exc.msg}")
-            )
-            facts.append(ModuleFacts(path=rel, module=None))
-            continue
-        findings.extend(_run_rules(ctx))
-        facts.append(extract_facts(ctx))
+        findings.extend(_run_rules(parsed))
+        facts.append(extract_facts(parsed))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.col))
     return findings, facts
+
+
+def analyze_facts(paths: Iterable[Path], root: Path | None = None) -> list[ModuleFacts]:
+    """:func:`analyze`'s project facts alone: the per-file rules do not
+    run, and an unreadable or unparsable file gets empty facts."""
+    from repro.lint.facts import ModuleFacts, extract_facts
+
+    facts: list[ModuleFacts] = []
+    for rel, parsed in _parse_files(paths, root):
+        if isinstance(parsed, Finding):
+            facts.append(ModuleFacts(path=rel, module=None))
+        else:
+            facts.append(extract_facts(parsed))
+    return facts
 
 
 def project_findings_for(facts: list[ModuleFacts]) -> list[Finding]:

@@ -4,7 +4,9 @@ Runs the per-file rules (RL001–RL005) over the requested paths and the
 whole-program rules (RL007–RL009) over the project model, which is
 always built from the full ``src/`` tree so cross-module findings are
 caught even when only one file is being linted.  Every file is read and
-parsed once per run (:func:`repro.lint.analyze`).
+parsed once per run: the requested paths by :func:`repro.lint.analyze`,
+the rest of ``src/`` by :func:`repro.lint.analyze_facts`, which extracts
+project facts without running the per-file rules.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.lint import (
     Finding,
     all_rules,
     analyze,
+    analyze_facts,
     iter_python_files,
     project_findings,
     project_findings_for,
@@ -181,9 +184,7 @@ def main(argv: list[str] | None = None) -> int:
             for p in iter_python_files([src_root])
             if p.as_posix() not in covered
         ]
-        if extra_paths:
-            _, extra_facts = analyze(extra_paths)
-            facts.extend(extra_facts)
+        facts.extend(analyze_facts(extra_paths))
     findings.extend(project_findings_for(facts))
     findings.extend(project_findings())
     if args.strict_suppressions:

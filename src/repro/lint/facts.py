@@ -847,41 +847,6 @@ def _module_level_scan(
     facts.module_level_calls = tuple(sorted(level_calls))
 
 
-def _collect_directives(ctx: FileContext) -> tuple[
-    tuple[int, str, tuple[str, ...], tuple[int, ...]], ...
-]:
-    """Raw suppression-directive records for stale-suppression checks."""
-    import re
-
-    from repro.lint import _in_string_literal, _string_literal_spans
-
-    directive = re.compile(
-        r"#\s*repro-lint:\s*(?P<scope>file-)?disable=(?P<codes>[A-Za-z0-9_,\s]+)"
-    )
-    records: list[tuple[int, str, tuple[str, ...], tuple[int, ...]]] = []
-    lines = ctx.lines
-    spans = _string_literal_spans(ctx.tree)
-    for lineno, text in enumerate(lines, start=1):
-        match = directive.search(text)
-        if match is None or _in_string_literal(spans, lineno, match.start()):
-            continue
-        codes = tuple(
-            sorted(c.strip() for c in match.group("codes").split(",") if c.strip())
-        )
-        if match.group("scope"):
-            records.append((lineno, "file", codes, ()))
-            continue
-        covers = [lineno]
-        if text.lstrip().startswith("#"):
-            for follow in range(lineno + 1, len(lines) + 1):
-                body = lines[follow - 1].strip()
-                if body and not body.startswith("#"):
-                    covers.append(follow)
-                    break
-        records.append((lineno, "line", codes, tuple(covers)))
-    return tuple(records)
-
-
 def extract_facts(ctx: FileContext) -> ModuleFacts:
     """Condense one parsed file into its :class:`ModuleFacts`."""
     facts = ModuleFacts(path=ctx.path, module=module_name_for(ctx.path))
@@ -910,5 +875,5 @@ def extract_facts(ctx: FileContext) -> ModuleFacts:
         for line, codes in sorted(ctx.line_suppressions.items())
     }
     facts.file_suppressions = tuple(sorted(ctx.file_suppressions))
-    facts.directives = _collect_directives(ctx)
+    facts.directives = tuple(ctx.directives)
     return facts

@@ -4,11 +4,14 @@ The offload engine converts each tick's LOB snapshot into a feature
 vector (market-protocol integers → BF16), Z-score-normalises it against
 statistics fitted on historical data, keeps the last ``window`` vectors
 in a ring buffer from which each query copies the model's 2-D input
-feature map, and queues the resulting query for the DNN pipeline.  It
-also owns stale-query management: queries whose deadline has passed are
-dropped before wasting accelerator time, and the oldest query is evicted
-when the scheduler finds no feasible offloading option (Algorithm 1's
-fallback).
+feature map, and queues the resulting query for the DNN pipeline,
+tail-dropping the oldest query when the queue overflows.
+
+The back-test's pending queue is :class:`PendingIndexStore`.  It owns
+stale-query management: queries whose deadline has passed are dropped
+before wasting accelerator time, the oldest query is evicted when the
+scheduler finds no feasible offloading option (Algorithm 1's fallback),
+and a surrendered batch goes back to the head of the queue.
 """
 
 from __future__ import annotations
@@ -84,7 +87,8 @@ class Query:
 
 
 class OffloadEngine:
-    """Sliding feature window plus the pending-query queue."""
+    """Sliding feature window plus the pending-query FIFO of the
+    functional tick-to-order path."""
 
     def __init__(
         self,
@@ -108,16 +112,10 @@ class OffloadEngine:
         self._head = 0  # next write row, which holds the oldest vector
         self._filled = 0  # vectors taken so far, saturating at ``window``
         self._pending: deque[Query] = deque()
-        # Lower bound on min(q.deadline for q in _pending); lets drop_stale
-        # skip its scan while now < bound (removals only raise the true
-        # minimum, so the bound stays conservative without bookkeeping).
-        self._min_deadline_bound = 0
         self._next_id = 0
         self.admitted = 0
         self.queue_depth_high_water = 0
         self.dropped_overflow = 0
-        self.dropped_stale = 0
-        self.dropped_unschedulable = 0
         self.rejected_corrupt = 0  # non-finite feature vectors refused at ingest
 
     # -- ingest ------------------------------------------------------------------
@@ -178,13 +176,8 @@ class OffloadEngine:
         return query
 
     def admit(self, query: Query) -> None:
-        """Append a fully-constructed query to the pending queue.
-
-        The only sanctioned append path: it maintains the stale-scan
-        deadline bound alongside the queue itself.
-        """
-        if not self._pending or query.deadline < self._min_deadline_bound:
-            self._min_deadline_bound = query.deadline
+        """Append a fully-constructed query to the pending queue, counting
+        it and tracking the queue's high-water depth."""
         self._pending.append(query)
         self.admitted += 1
         depth = len(self._pending)
@@ -197,19 +190,6 @@ class OffloadEngine:
         """Queries waiting to be issued."""
         return len(self._pending)
 
-    def peek_pending(self) -> Query | None:
-        """The oldest pending query, if any."""
-        return self._pending[0] if self._pending else None
-
-    def pending_deadlines(self, k: int) -> list[int]:
-        """Deadlines of the first ``k`` pending queries, FIFO order."""
-        out = []
-        for query in self._pending:
-            out.append(query.deadline)
-            if len(out) == k:
-                break
-        return out
-
     def pop_batch(self, batch_size: int) -> list[Query]:
         """Dequeue up to ``batch_size`` oldest queries for one batch issue."""
         if batch_size <= 0:
@@ -219,100 +199,19 @@ class OffloadEngine:
             batch.append(self._pending.popleft())
         return batch
 
-    def drop_oldest(self) -> Query | None:
-        """Evict the oldest pending query (Algorithm 1's fallback path)."""
-        if not self._pending:
-            return None
-        query = self._pending.popleft()
-        query.dropped = True
-        query.drop_reason = "unschedulable"
-        self.dropped_unschedulable += 1
-        return query
-
-    def requeue_front(self, queries: "list[Query]") -> None:
-        """Put surrendered queries back at the head of the pending queue.
-
-        Used when a device fails or returns a corrupted result: the batch
-        it carried goes back to the front (oldest first, preserving FIFO
-        order) and competes for the next issue against its original
-        deadline.
-        """
-        if not queries:
-            return
-        requeued_min = min(q.deadline for q in queries)
-        if not self._pending:
-            self._min_deadline_bound = requeued_min
-        else:
-            self._min_deadline_bound = min(self._min_deadline_bound, requeued_min)
-        self._pending.extendleft(reversed(queries))
-        depth = len(self._pending)
-        if depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = depth
-
-    def drop_stale(self, now: int) -> list[Query]:
-        """Drop every pending query whose deadline has already passed.
-
-        Boundary convention (pinned repo-wide): ``deadline <= now`` is
-        stale.  Inference takes strictly positive time, so a query still
-        pending when its deadline arrives can no longer produce an
-        in-time result.  The complementary rules: a completion landing
-        exactly at the deadline is in time (``Query.in_time``,
-        ``MetricsCollector``), and issue feasibility is
-        ``now + fastest <= deadline``
-        (``WorkloadScheduler.deadline_feasible``).
-        """
-        if not self._pending or now < self._min_deadline_bound:
-            return []  # every deadline is >= bound > now: nothing stale
-        # First pass: scan without rebuilding.  The bound is conservative
-        # (admissions past a still-live minimum don't raise it), so most
-        # scans past it still find nothing stale — tightening the bound
-        # to the true minimum is then the whole yield of the scan, and
-        # the deque survives untouched.
-        true_min = None
-        any_stale = False
-        for query in self._pending:
-            if query.deadline <= now:
-                any_stale = True
-                break
-            if true_min is None or query.deadline < true_min:
-                true_min = query.deadline
-        if not any_stale:
-            self._min_deadline_bound = true_min if true_min is not None else 0
-            return []
-        dropped = []
-        kept: deque[Query] = deque()
-        kept_min = None
-        for query in self._pending:
-            if query.deadline <= now:
-                query.dropped = True
-                query.drop_reason = "stale"
-                self.dropped_stale += 1
-                dropped.append(query)
-            else:
-                if kept_min is None or query.deadline < kept_min:
-                    kept_min = query.deadline
-                kept.append(query)
-        self._pending = kept
-        self._min_deadline_bound = kept_min if kept_min is not None else 0
-        return dropped
-
-    @property
-    def total_dropped(self) -> int:
-        """All queries dropped for any reason."""
-        return self.dropped_overflow + self.dropped_stale + self.dropped_unschedulable
-
 
 class PendingIndexStore:
-    """Struct-of-arrays pending queue for the fast back-test loop.
+    """Struct-of-arrays pending queue of the back-test pumps.
 
-    Where :class:`OffloadEngine` queues :class:`Query` objects, this
-    store queues *workload row indices*: timestamps and deadlines stay in
-    the workload's int64 arrays and a ``Query`` is materialised lazily —
-    at batch issue, at drop recording, and on fault paths — so the
-    admission hot path allocates nothing per event.  The queue-management
-    surface (FIFO order, overflow tail-drop, stale-scan deadline bound,
-    ``requeue_front`` fault semantics, drop counters) mirrors the engine
-    exactly; the loop-parity tests hold the two byte-identical.
+    The store queues *workload row indices*: timestamps and deadlines
+    stay in the workload's int64 arrays and a ``Query`` is materialised
+    lazily — at batch issue, at drop recording, and on fault paths — so
+    the admission hot path allocates nothing per event.  It owns the
+    back-test's queue policy: FIFO order, overflow tail-drop, stale drops
+    behind a conservative deadline scan bound, eviction of the oldest
+    query, ``requeue_front`` fault semantics and the drop counters.  The
+    loop-parity tests hold it byte-identical to the :class:`Query`-object
+    queue of the reference pumps in ``tests/oracles/backtest.py``.
 
     ``admit_run`` is the batched path: it admits a contiguous run of
     arrivals that occur between two scheduling decisions in one call,
@@ -340,7 +239,9 @@ class PendingIndexStore:
         self.max_pending = max_pending
         self._buf: list[int] = []  # pending workload indices, FIFO
         self._head = 0
-        # Same conservative invariant as OffloadEngine._min_deadline_bound.
+        # Lower bound on the pending deadlines' minimum: drop_stale skips
+        # its scan while now < bound.  Removals only raise the true
+        # minimum, so the bound stays conservative without bookkeeping.
         self._min_deadline_bound = 0
         # Injector-perturbed admissions (stall/reorder) enqueue later than
         # arrival + offset; everything else derives its enqueue time.
@@ -380,14 +281,10 @@ class PendingIndexStore:
             return None
         return self.dl_list[self._buf[self._head]]
 
-    def pending_deadlines(self, k: int) -> list[int]:
-        """Deadlines of the first ``k`` pending queries, FIFO order."""
-        dl = self.dl_list
-        return [dl[i] for i in self._buf[self._head : self._head + k]]
-
     def pending_deadlines_less(self, k: int, offset: int) -> list[int]:
-        """``pending_deadlines(k)`` with ``offset`` subtracted — one pass
-        for the scheduler's slack-adjusted deadline list."""
+        """Deadlines of the first ``k`` pending queries, FIFO order, each
+        less ``offset`` — one pass for the scheduler's slack-adjusted
+        deadline list."""
         dl = self.dl_list
         return [dl[i] - offset for i in self._buf[self._head : self._head + k]]
 
@@ -395,9 +292,8 @@ class PendingIndexStore:
     def admit_index(self, index: int, enqueue_ns: int) -> int | None:
         """Admit one arrival; returns the overflow victim's index, if any.
 
-        Mirrors ``Backtester._ingest`` over the engine: when the queue is
-        full the oldest pending query is tail-dropped (reason
-        ``overflow``) before the new one is appended.
+        When the queue is full the oldest pending query is tail-dropped
+        (reason ``overflow``) before the new one is appended.
         """
         victim = None
         buf = self._buf
@@ -595,10 +491,19 @@ class PendingIndexStore:
     def drop_stale(self, now: int) -> list[int]:
         """Indices of every pending query with ``deadline <= now``, removed.
 
-        Same boundary convention and bound-gating as
-        ``OffloadEngine.drop_stale``; the bound is retightened to the
-        exact pending minimum on every scan, so scans almost always pay
-        for themselves with at least one drop.
+        Boundary convention (pinned repo-wide): ``deadline <= now`` is
+        stale.  Inference takes strictly positive time, so a query still
+        pending when its deadline arrives can no longer produce an
+        in-time result.  The complementary rules: a completion landing
+        exactly at the deadline is in time (``Query.in_time``,
+        ``MetricsCollector``), and issue feasibility is
+        ``now + fastest <= deadline``
+        (``WorkloadScheduler.deadline_feasible``).
+
+        The scan is skipped while ``now`` is below the deadline bound,
+        and every scan retightens the bound to the exact pending
+        minimum, so scans almost always pay for themselves with at least
+        one drop.
         """
         buf = self._buf
         head = self._head
@@ -652,8 +557,3 @@ class PendingIndexStore:
         self._head = 0
         self._min_deadline_bound = kept_min if kept_min is not None else 0
         return dropped
-
-    @property
-    def total_dropped(self) -> int:
-        """All queries dropped for any reason."""
-        return self.dropped_overflow + self.dropped_stale + self.dropped_unschedulable

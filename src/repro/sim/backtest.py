@@ -14,28 +14,28 @@ selected scheduling scheme:
   redistribution.
 
 GPU-based and FPGA-based systems run the same FIFO policy with their own
-profiles, which is exactly the paper's non-batching comparison.
+profiles, which is exactly the paper's non-batching comparison.  Fault
+plans apply to LightTrader profiles only: the paper never injects faults
+into its GPU/FPGA baselines, so :class:`Backtester` refuses a non-empty
+plan on any other profile.
 
-The event pumps merge the sorted arrival stream against the heap with a
-cursor, drain arrival runs between scheduling decisions as vectorized
-slices over a struct-of-arrays query store, memoize Algorithm-1
-decisions, gate Algorithm-2 redistribution and power sampling on a
-cluster state epoch, and materialise :class:`Query` objects lazily.  The
-one exception is a fixed (GPU/FPGA) profile under fault injection: its
-cursor pump has no fault paths, so :meth:`Backtester.run` takes the
-heap pump :meth:`Backtester._run_fixed_system` instead, where every
-arrival is a heap event and power is sampled after every event.  The
-golden-model LightTrader heap pump lives in ``tests/oracles/``; the
-loop-parity tests hold every pump byte-identical to it — same
-:class:`RunResult`, same decision log, same traces — at every trace
-level.
+Each system has one event pump.  Both merge the sorted arrival stream
+against the heap with a cursor and drain arrival runs between scheduling
+decisions as vectorized slices over one struct-of-arrays pending queue,
+:class:`~repro.pipeline.offload.PendingIndexStore`.  The LightTrader
+pump also memoizes Algorithm-1 decisions, gates Algorithm-2
+redistribution and power sampling on a cluster state epoch, and
+materialises :class:`Query` objects lazily.  The golden-model heap
+pumps, where every arrival is a heap event and power is sampled after
+every event, live in ``tests/oracles/``; the loop-parity tests hold both
+pumps byte-identical to them — same :class:`RunResult`, same decision
+log, same traces — at every trace level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +60,7 @@ from repro.faults.plan import (
     FaultEvent,
     FaultPlan,
 )
-from repro.pipeline.offload import OffloadEngine, PendingIndexStore, Query
+from repro.pipeline.offload import PendingIndexStore, Query
 from repro.sim.events import EventKind, EventQueue
 from repro.sim.metrics import MetricsCollector, RunResult
 from repro.sim.workload import QueryWorkload
@@ -113,7 +113,7 @@ class SimConfig:
 class _Pending:
     """The offload queue plus bookkeeping shared by the event handlers."""
 
-    offload: OffloadEngine | PendingIndexStore
+    offload: PendingIndexStore
     metrics: MetricsCollector
     telemetry: Telemetry | None = None
     in_flight: dict[int, list[Query]] = field(default_factory=dict)
@@ -147,6 +147,32 @@ def _make_surrender_batch(state: _Pending, record_drop):
         return len(alive), len(dead)
 
     return surrender_batch
+
+
+def _make_record_drop_index(state: _Pending, stages):
+    """Build the cursor pumps' drop scorer over the pending queue's
+    workload rows: score a lazily-stored drop, and materialise its
+    :class:`Query` only for span tracing."""
+    metrics = state.metrics
+    telemetry = state.telemetry
+    spans_on = telemetry is not None and telemetry.trace_queries
+    light_on = telemetry is not None and telemetry.light
+    store = state.offload
+    dl_list = store.dl_list
+
+    def record_drop_index(index: int, drop_ns: int, reason: str) -> None:
+        metrics.record_drop_ids(dl_list[index])
+        if spans_on:
+            victim = store.materialise(index)
+            victim.dropped = True
+            victim.drop_reason = reason
+            telemetry.record_query(
+                dropped_query_trace(victim, stages, drop_ns=drop_ns)
+            )
+        elif light_on:
+            telemetry.record_drop_light(dl_list[index], reason)
+
+    return record_drop_index
 
 
 def _make_fault_handler(
@@ -356,6 +382,10 @@ class Backtester:
         # by ``injector is not None``.
         self.faults = faults if faults is not None and not faults.empty else None
         self._is_lighttrader = isinstance(profile, LightTraderProfile)
+        if self.faults is not None and not self._is_lighttrader:
+            raise SimulationError(
+                f"fault plans apply to LightTrader profiles only, not {profile.name!r}"
+            )
         self.last_metrics: MetricsCollector | None = None
         self.last_run_metrics: MetricRegistry | None = None
 
@@ -405,43 +435,21 @@ class Backtester:
                 config.n_accelerators,
                 log=telemetry.decisions if telemetry is not None else None,
             )
-        heap_pump = self._heap_pump()
-        pre_ns = self.profile.stages.pre_inference_ns
-        if heap_pump is None:
-            offload: OffloadEngine | PendingIndexStore = PendingIndexStore(
+        state = _Pending(
+            offload=PendingIndexStore(
                 self.workload.timestamps,
                 self.workload.deadlines,
-                pre_ns,
+                self.profile.stages.pre_inference_ns,
                 max_pending=config.max_pending,
-            )
-        else:
-            offload = OffloadEngine(window=1, max_pending=config.max_pending)
-        state = _Pending(
-            offload=offload,
+            ),
             metrics=metrics,
             telemetry=telemetry,
             injector=injector,
         )
         queue = EventQueue()
-        if heap_pump is not None:
-            # Every arrival is a heap event.  The cursor pumps merge the
-            # sorted workload arrays directly instead.
-            for index in range(len(self.workload)):
-                ts = int(self.workload.timestamps[index])
-                if injector is None:
-                    queue.push(ts + pre_ns, EventKind.ARRIVAL, index)
-                else:
-                    for t in injector.arrival_times(index, ts + pre_ns):
-                        queue.push(t, EventKind.ARRIVAL, index)
         if injector is not None:
             injector.schedule(queue)
-
-        if heap_pump is not None:
-            heap_pump(queue, state)
-        elif self._is_lighttrader:
-            self._run_lighttrader_fast(queue, state)
-        else:
-            self._run_fixed_system_fast(state)
+        self._pump(queue, state)
 
         for query in state.offload.pop_batch(config.max_pending):
             query.drop_reason = "end_of_run"
@@ -455,15 +463,12 @@ class Backtester:
         self._export_metrics(registry, system, result)
         return result
 
-    def _heap_pump(self) -> Callable[[EventQueue, _Pending], None] | None:
-        """The heap pump this run takes, or None for the cursor pumps.
-
-        Only a fixed profile under fault injection needs one: the fixed
-        cursor pump has no fault paths.
-        """
-        if self._is_lighttrader or self.faults is None:
-            return None
-        return self._run_fixed_system
+    def _pump(self, queue: EventQueue, state: _Pending) -> None:
+        """Run this system's event pump to the end of the workload."""
+        if self._is_lighttrader:
+            self._run_lighttrader_fast(queue, state)
+        else:
+            self._run_fixed_system_fast(state)
 
     def _export_metrics(
         self, registry: MetricRegistry, system: str, result: RunResult
@@ -567,7 +572,7 @@ class Backtester:
         post_slack_ns = profile.stages.post_inference_ns
         post_ns = post_slack_ns
         injector = state.injector
-        store: PendingIndexStore = state.offload  # type: ignore[assignment]
+        store = state.offload
         metrics = state.metrics
         devices = cluster.devices
         stages = profile.stages
@@ -633,18 +638,7 @@ class Backtester:
                 model, capped(static_point, device), now, deadline
             )
 
-        def record_drop_index(index: int, drop_ns: int, reason: str) -> None:
-            """Score a lazily-stored drop; materialise only for tracing."""
-            metrics.record_drop_ids(dl_list[index])
-            if spans_on:
-                victim = store.materialise(index)
-                victim.dropped = True
-                victim.drop_reason = reason
-                telemetry.record_query(
-                    dropped_query_trace(victim, stages, drop_ns=drop_ns)
-                )
-            elif light_on:
-                telemetry.record_drop_light(dl_list[index], reason)
+        record_drop_index = _make_record_drop_index(state, stages)
 
         def epoch_of() -> int:
             total = 0
@@ -982,178 +976,20 @@ class Backtester:
 
     # -- fixed-profile (GPU / FPGA) path ----------------------------------------------
 
-    def _run_fixed_system(self, queue: EventQueue, state: _Pending) -> None:
-        config = self.config
-        telemetry = state.telemetry
-        decision_log = telemetry.decisions if telemetry is not None else None
-        spans_on = telemetry is not None and telemetry.trace_queries
-        light_on = telemetry is not None and telemetry.light
-        injector = state.injector
-        busy_until = [0] * config.n_accelerators
-        in_flight: dict[int, Query] = {}
-        failed: set[int] = set()  # servers quarantined by a hard fault
-        corrupt: set[int] = set()  # servers whose in-flight result is garbage
-        post_ns = self.profile.stages.post_inference_ns
-        t_total = self.profile.t_total_ns(config.model, None, 1)
-        trans_ns = self.profile.t_trans_ns(1)
-
-        def try_schedule(now: int) -> None:
-            self._drop_stale(state, now)
-            for server, free_at in enumerate(busy_until):
-                if free_at > now or server in failed:
-                    continue
-                batch = state.offload.pop_batch(1)
-                if not batch:
-                    return
-                query = batch[0]
-                query.issue_time = now
-                busy_until[server] = now + t_total
-                in_flight[server] = query
-                queue.push(busy_until[server], EventKind.COMPLETION, server)
-
-        def surrender(server: int, now: int, reason: str) -> None:
-            """Requeue or drop the query a faulted server was carrying."""
-            query = in_flight.pop(server, None)
-            if query is None:
-                return
-            if query.deadline < 0 or query.deadline > now:
-                query.issue_time = None
-                state.offload.requeue_front([query])
-            else:
-                query.dropped = True
-                query.drop_reason = reason
-                self._record_drop(state, query, now)
-
-        def handle_fault(now: int, event: FaultEvent) -> None:
-            assert injector is not None
-            if event.kind == DEVICE_FAILURE:
-                if event.accel_id in failed:
-                    return
-                failed.add(event.accel_id)
-                injector.note_applied(DEVICE_FAILURE)
-                corrupt.discard(event.accel_id)
-                busy_until[event.accel_id] = now
-                surrender(event.accel_id, now, "device_failure")
-                if decision_log is not None:
-                    decision_log.record_fault(
-                        now,
-                        DEVICE_FAILURE,
-                        accel_id=event.accel_id,
-                        survivors=config.n_accelerators - len(failed),
-                    )
-                if event.duration_ns > 0:
-                    queue.push(
-                        now + event.duration_ns,
-                        EventKind.FAULT,
-                        FaultEvent(
-                            t_ns=now + event.duration_ns,
-                            kind=DEVICE_RECOVERY,
-                            accel_id=event.accel_id,
-                        ),
-                    )
-            elif event.kind == DEVICE_RECOVERY:
-                if event.accel_id in failed:
-                    failed.discard(event.accel_id)
-                    injector.note_applied(DEVICE_RECOVERY)
-                    busy_until[event.accel_id] = now
-                    if decision_log is not None:
-                        decision_log.record_fault(
-                            now,
-                            DEVICE_RECOVERY,
-                            accel_id=event.accel_id,
-                            survivors=config.n_accelerators - len(failed),
-                        )
-            elif event.kind == QUERY_CORRUPTION:
-                if event.accel_id in in_flight and event.accel_id not in failed:
-                    corrupt.add(event.accel_id)
-                    injector.note_applied(QUERY_CORRUPTION)
-                    if decision_log is not None:
-                        decision_log.record_fault(
-                            now, QUERY_CORRUPTION, accel_id=event.accel_id
-                        )
-            elif event.kind == DMA_STALL:
-                injector.begin_stall(now, event.duration_ns)
-                injector.note_applied(DMA_STALL)
-                if decision_log is not None:
-                    decision_log.record_fault(
-                        now, DMA_STALL, duration_ns=event.duration_ns
-                    )
-            # Thermal throttling is a no-op for fixed-frequency systems.
-
-        while len(queue):
-            now, kind, payload = queue.pop()
-            if kind is EventKind.ARRIVAL:
-                if injector is not None:
-                    verdict = injector.on_arrival(payload, now)
-                    if verdict == STALLED:
-                        queue.push(injector.stall_until, EventKind.ARRIVAL, payload)
-                        continue
-                    if verdict == DUPLICATE:
-                        continue
-                self._ingest(state, payload, now)
-            elif kind is EventKind.COMPLETION:
-                if busy_until[payload] > now:
-                    # Stale event: the server failed mid-flight and was
-                    # re-issued; the real completion is queued separately.
-                    pass
-                else:
-                    query = in_flight.pop(payload, None)
-                    if query is None:
-                        pass  # surrendered to a fault before completing
-                    elif injector is not None and payload in corrupt:
-                        corrupt.discard(payload)
-                        if query.deadline < 0 or query.deadline > now:
-                            query.issue_time = None
-                            state.offload.requeue_front([query])
-                        else:
-                            query.dropped = True
-                            query.drop_reason = "corrupt_result"
-                            self._record_drop(state, query, now)
-                        if decision_log is not None:
-                            decision_log.record_fault(
-                                now, "corrupt_result", accel_id=payload
-                            )
-                    else:
-                        query.completion_time = now + post_ns
-                        state.metrics.record_completion(
-                            query, query.completion_time, 1
-                        )
-                        if spans_on:
-                            telemetry.record_query(
-                                completed_query_trace(
-                                    query,
-                                    self.profile.stages,
-                                    inference_done_ns=now,
-                                    t_trans_ns=trans_ns,
-                                    batch_size=1,
-                                    accel_id=payload,
-                                )
-                            )
-                        elif light_on:
-                            telemetry.record_completion_light(
-                                query.deadline, query.arrival, query.completion_time
-                            )
-            elif kind is EventKind.FAULT:
-                handle_fault(now, payload)
-            try_schedule(now)
-            state.metrics.sample_power(now, self.profile.system_power_w)
-            if telemetry is not None:
-                telemetry.sample_power(now, self.profile.system_power_w)
-
     def _run_fixed_system_fast(self, state: _Pending) -> None:
-        """Fast fixed-profile pump (fault-free runs only — ``run()``
-        takes the heap pump :meth:`_run_fixed_system` under injection).
+        """The fixed-profile (GPU/FPGA) pump, fault-free by construction
+        (the constructor refuses a fault plan on a fixed profile).
 
         Constant service time makes completions FIFO (a deque replaces
         the heap) and constant system power makes the timeline flat: the
-        first and last events pin the same integral the heap pump
-        accumulates event by event.
+        first and last events pin the same integral the reference heap
+        pump in ``tests/oracles/backtest.py`` accumulates event by event.
         """
         config = self.config
         telemetry = state.telemetry
         spans_on = telemetry is not None and telemetry.trace_queries
         light_on = telemetry is not None and telemetry.light
-        store: PendingIndexStore = state.offload  # type: ignore[assignment]
+        store = state.offload
         metrics = state.metrics
         stages = self.profile.stages
         post_ns = stages.post_inference_ns
@@ -1175,18 +1011,7 @@ class Backtester:
         completions: deque = deque()  # (completion_ns, server, Query|index) FIFO
         first_ns = -1
         last_ns = 0
-
-        def record_drop_index(index: int, drop_ns: int, reason: str) -> None:
-            metrics.record_drop_ids(dl_list[index])
-            if spans_on:
-                victim = store.materialise(index)
-                victim.dropped = True
-                victim.drop_reason = reason
-                telemetry.record_query(
-                    dropped_query_trace(victim, stages, drop_ns=drop_ns)
-                )
-            elif light_on:
-                telemetry.record_drop_light(dl_list[index], reason)
+        record_drop_index = _make_record_drop_index(state, stages)
 
         while True:
             if completions:
@@ -1273,30 +1098,6 @@ class Backtester:
             metrics.sample_power(last_ns, watts)
 
     # -- shared helpers ---------------------------------------------------------------
-
-    def _ingest(self, state: _Pending, index: int, now: int) -> None:
-        """Turn workload row ``index`` into a pending query at ``now``."""
-        query = Query(
-            query_id=index,
-            tick_index=index,
-            arrival=int(self.workload.timestamps[index]),
-            deadline=int(self.workload.deadlines[index]),
-            enqueue_time=now,
-        )
-        # Reuse the offload engine's queue/overflow machinery directly.
-        engine = state.offload
-        if engine.pending_count() >= engine.max_pending:
-            victim = engine.drop_oldest()
-            engine.dropped_unschedulable -= 1
-            engine.dropped_overflow += 1
-            if victim is not None:
-                victim.drop_reason = "overflow"
-                self._record_drop(state, victim, now)
-        engine.admit(query)
-
-    def _drop_stale(self, state: _Pending, now: int) -> None:
-        for victim in state.offload.drop_stale(now):
-            self._record_drop(state, victim, now)
 
     def _record_drop(self, state: _Pending, query: Query, now: int) -> None:
         """Score a drop and, when tracing, emit its truncated span trace."""

@@ -1,16 +1,22 @@
-"""Reference LightTrader event pump (test oracle).
+"""Reference back-test event pumps (test oracle).
 
 :class:`ReferenceBacktester` is :class:`repro.sim.backtest.Backtester`
-with every run on a heap pump: every arrival is a heap event, every
-decision is a fresh Algorithm-1 sweep, and power is sampled after every
-event.  For a LightTrader profile that pump is :meth:`_run_lighttrader`,
-the golden model the shipping cursor pump
-(``Backtester._run_lighttrader_fast``) replaced; for a fixed (GPU/FPGA)
-profile it is the shipping ``Backtester._run_fixed_system``.  The
-loop-parity tests hold the shipping runs byte-identical to these.
+with every run on a heap pump over a queue of :class:`Query` objects:
+every arrival is a heap event, every decision is a fresh Algorithm-1
+sweep, and power is sampled after every event.  For a LightTrader
+profile that pump is :meth:`~ReferenceBacktester._run_lighttrader`, the
+golden model of ``Backtester._run_lighttrader_fast``; for a fixed
+(GPU/FPGA) profile it is :meth:`~ReferenceBacktester._run_fixed_system`,
+the golden model of ``Backtester._run_fixed_system_fast``.  Both run on
+:class:`ReferenceQueue`: the functional :class:`OffloadEngine` queue plus
+the FIFO stale, evict and requeue policy that the shipping pumps run on
+``PendingIndexStore``.  The loop-parity tests hold the shipping runs
+byte-identical to these.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro import paperdata
 from repro.accelerator.device import AcceleratorCluster, fastest_capped
@@ -19,6 +25,7 @@ from repro.baselines.profiles import LightTraderProfile
 from repro.core.dvfs import DVFSScheduler
 from repro.core.scheduler import WorkloadScheduler
 from repro.faults.injector import DUPLICATE, STALLED
+from repro.pipeline.offload import OffloadEngine, Query
 from repro.sim.backtest import (
     Backtester,
     _make_fault_handler,
@@ -29,13 +36,162 @@ from repro.sim.events import EventKind, EventQueue
 from repro.telemetry import completed_query_trace
 
 
+class ReferenceQueue(OffloadEngine):
+    """The offload engine's pending queue with the back-test's queue
+    management: stale drops behind a conservative scan bound, eviction
+    of the oldest query, and requeueing of surrendered batches."""
+
+    def __init__(self, max_pending: int) -> None:
+        super().__init__(window=1, max_pending=max_pending)
+        # Lower bound on min(q.deadline for q in _pending); lets drop_stale
+        # skip its scan while now < bound (removals only raise the true
+        # minimum, so the bound stays conservative without bookkeeping).
+        self._min_deadline_bound = 0
+        self.dropped_stale = 0
+        self.dropped_unschedulable = 0
+
+    def admit(self, query: Query) -> None:
+        """Append ``query``, maintaining the stale-scan deadline bound.
+
+        The append is inline rather than a ``super()`` call, which would
+        slow the reference loop that ``benchmarks/bench_sim_speed.py``
+        times against the shipping one.
+        """
+        if not self._pending or query.deadline < self._min_deadline_bound:
+            self._min_deadline_bound = query.deadline
+        self._pending.append(query)
+        self.admitted += 1
+        depth = len(self._pending)
+        if depth > self.queue_depth_high_water:
+            self.queue_depth_high_water = depth
+
+    def peek_pending(self) -> Query | None:
+        """The oldest pending query, if any."""
+        return self._pending[0] if self._pending else None
+
+    def pending_deadlines(self, k: int) -> list[int]:
+        """Deadlines of the first ``k`` pending queries, FIFO order."""
+        out = []
+        for query in self._pending:
+            out.append(query.deadline)
+            if len(out) == k:
+                break
+        return out
+
+    def drop_oldest(self) -> Query | None:
+        """Evict the oldest pending query (Algorithm 1's fallback path)."""
+        if not self._pending:
+            return None
+        query = self._pending.popleft()
+        query.dropped = True
+        query.drop_reason = "unschedulable"
+        self.dropped_unschedulable += 1
+        return query
+
+    def requeue_front(self, queries: "list[Query]") -> None:
+        """Put surrendered queries back at the head of the pending queue.
+
+        Used when a device fails or returns a corrupted result: the batch
+        it carried goes back to the front (oldest first, preserving FIFO
+        order) and competes for the next issue against its original
+        deadline.
+        """
+        if not queries:
+            return
+        requeued_min = min(q.deadline for q in queries)
+        if not self._pending:
+            self._min_deadline_bound = requeued_min
+        else:
+            self._min_deadline_bound = min(self._min_deadline_bound, requeued_min)
+        self._pending.extendleft(reversed(queries))
+        depth = len(self._pending)
+        if depth > self.queue_depth_high_water:
+            self.queue_depth_high_water = depth
+
+    def drop_stale(self, now: int) -> list[Query]:
+        """Drop every pending query whose deadline has already passed
+        (``deadline <= now``, the repo-wide stale convention)."""
+        if not self._pending or now < self._min_deadline_bound:
+            return []  # every deadline is >= bound > now: nothing stale
+        # First pass: scan without rebuilding.  The bound is conservative
+        # (admissions past a still-live minimum don't raise it), so most
+        # scans past it still find nothing stale — tightening the bound
+        # to the true minimum is then the whole yield of the scan, and
+        # the deque survives untouched.
+        true_min = None
+        any_stale = False
+        for query in self._pending:
+            if query.deadline <= now:
+                any_stale = True
+                break
+            if true_min is None or query.deadline < true_min:
+                true_min = query.deadline
+        if not any_stale:
+            self._min_deadline_bound = true_min if true_min is not None else 0
+            return []
+        dropped = []
+        kept: deque[Query] = deque()
+        kept_min = None
+        for query in self._pending:
+            if query.deadline <= now:
+                query.dropped = True
+                query.drop_reason = "stale"
+                self.dropped_stale += 1
+                dropped.append(query)
+            else:
+                if kept_min is None or query.deadline < kept_min:
+                    kept_min = query.deadline
+                kept.append(query)
+        self._pending = kept
+        self._min_deadline_bound = kept_min if kept_min is not None else 0
+        return dropped
+
+
 class ReferenceBacktester(Backtester):
     """:class:`Backtester` whose every run takes a heap pump."""
 
-    def _heap_pump(self):
+    def _pump(self, queue: EventQueue, state: _Pending) -> None:
+        state.offload = ReferenceQueue(self.config.max_pending)
+        # Every arrival is a heap event.  FAULT sorts before ARRIVAL at
+        # equal times, so pushing arrivals after the injector's faults
+        # never changes the order.
+        pre_ns = self.profile.stages.pre_inference_ns
+        injector = state.injector
+        for index in range(len(self.workload)):
+            ts = int(self.workload.timestamps[index])
+            if injector is None:
+                queue.push(ts + pre_ns, EventKind.ARRIVAL, index)
+            else:
+                for t in injector.arrival_times(index, ts + pre_ns):
+                    queue.push(t, EventKind.ARRIVAL, index)
         if self._is_lighttrader:
-            return self._run_lighttrader
-        return self._run_fixed_system
+            self._run_lighttrader(queue, state)
+        else:
+            self._run_fixed_system(queue, state)
+
+    def _ingest(self, state: _Pending, index: int, now: int) -> None:
+        """Turn workload row ``index`` into a pending query at ``now``."""
+        query = Query(
+            query_id=index,
+            tick_index=index,
+            arrival=int(self.workload.timestamps[index]),
+            deadline=int(self.workload.deadlines[index]),
+            enqueue_time=now,
+        )
+        # Reuse the offload engine's queue/overflow machinery directly.
+        engine = state.offload
+        if engine.pending_count() >= engine.max_pending:
+            victim = engine.drop_oldest()
+            engine.dropped_unschedulable -= 1
+            engine.dropped_overflow += 1
+            if victim is not None:
+                victim.drop_reason = "overflow"
+                self._record_drop(state, victim, now)
+        engine.admit(query)
+
+    def _drop_stale(self, state: _Pending, now: int) -> None:
+        for victim in state.offload.drop_stale(now):
+            self._record_drop(state, victim, now)
 
     def _run_lighttrader(self, queue: EventQueue, state: _Pending) -> None:
         assert isinstance(self.profile, LightTraderProfile)
@@ -276,3 +432,64 @@ class ReferenceBacktester(Backtester):
             state.metrics.sample_power(now, watts)
             if telemetry is not None:
                 telemetry.sample_power(now, watts)
+
+    def _run_fixed_system(self, queue: EventQueue, state: _Pending) -> None:
+        config = self.config
+        telemetry = state.telemetry
+        spans_on = telemetry is not None and telemetry.trace_queries
+        light_on = telemetry is not None and telemetry.light
+        busy_until = [0] * config.n_accelerators
+        in_flight: dict[int, Query] = {}
+        post_ns = self.profile.stages.post_inference_ns
+        t_total = self.profile.t_total_ns(config.model, None, 1)
+        trans_ns = self.profile.t_trans_ns(1)
+
+        def try_schedule(now: int) -> None:
+            self._drop_stale(state, now)
+            for server, free_at in enumerate(busy_until):
+                if free_at > now:
+                    continue
+                batch = state.offload.pop_batch(1)
+                if not batch:
+                    return
+                query = batch[0]
+                query.issue_time = now
+                busy_until[server] = now + t_total
+                in_flight[server] = query
+                queue.push(busy_until[server], EventKind.COMPLETION, server)
+
+        while len(queue):
+            now, kind, payload = queue.pop()
+            if kind is EventKind.ARRIVAL:
+                self._ingest(state, payload, now)
+            elif kind is EventKind.COMPLETION:
+                if busy_until[payload] > now:
+                    # Stale event: a scheduling pass at this same instant
+                    # re-issued the server before its completion ran, so
+                    # the query it carried is overwritten and never scored.
+                    pass
+                else:
+                    query = in_flight.pop(payload)
+                    query.completion_time = now + post_ns
+                    state.metrics.record_completion(
+                        query, query.completion_time, 1
+                    )
+                    if spans_on:
+                        telemetry.record_query(
+                            completed_query_trace(
+                                query,
+                                self.profile.stages,
+                                inference_done_ns=now,
+                                t_trans_ns=trans_ns,
+                                batch_size=1,
+                                accel_id=payload,
+                            )
+                        )
+                    elif light_on:
+                        telemetry.record_completion_light(
+                            query.deadline, query.arrival, query.completion_time
+                        )
+            try_schedule(now)
+            state.metrics.sample_power(now, self.profile.system_power_w)
+            if telemetry is not None:
+                telemetry.sample_power(now, self.profile.system_power_w)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.profiles import gpu_profile, lighttrader_profile
+from repro.baselines.profiles import fpga_profile, gpu_profile, lighttrader_profile
 from repro.errors import SimulationError
 from repro.faults import (
     DEVICE_FAILURE,
@@ -332,7 +332,10 @@ class TestGracefulDegradation:
         fixed = miss_delta(workload_scheduling=False, dvfs_scheduling=False)
         assert 0.0 < smart < fixed
 
-    def test_fixed_profile_system_survives_faults(self):
+    def test_fault_plan_on_fixed_profile_refused(self):
+        """Fault plans apply to LightTrader profiles only: a non-empty plan
+        on a GPU/FPGA profile is refused at construction, while an empty
+        plan still means no injection."""
         workload = _workload()
         plan = seeded_plan(
             DURATION,
@@ -341,21 +344,15 @@ class TestGracefulDegradation:
             seed=9,
             device_failure_rate_hz=1.0,
             failure_downtime_s=0.3,
-            corruption_rate_hz=1.0,
-            stall_rate_hz=1.0,
-            packet_loss_prob=0.02,
-            duplicate_prob=0.01,
-            reorder_prob=0.01,
         )
+        assert not plan.empty
         config = SimConfig(model="deeplob", n_accelerators=4)
-        result = Backtester(
-            workload, gpu_profile(), config, faults=plan
-        ).run()
-        repeat = Backtester(
-            workload, gpu_profile(), config, faults=plan
-        ).run()
-        assert result.n_queries > 0
-        assert dataclasses.asdict(result) == dataclasses.asdict(repeat)
+        for profile in (gpu_profile(), fpga_profile()):
+            with pytest.raises(SimulationError, match="LightTrader profiles only"):
+                Backtester(workload, profile, config, faults=plan)
+            plain = Backtester(workload, profile, config).run()
+            empty = Backtester(workload, profile, config, faults=FaultPlan()).run()
+            assert dataclasses.asdict(empty) == dataclasses.asdict(plain)
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=5, deadline=None)

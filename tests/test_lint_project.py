@@ -17,6 +17,7 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import repro.lint
 from repro.lint import analyze, build_context, project_findings_for
 from repro.lint.__main__ import main as lint_main
 from repro.lint.facts import extract_facts
@@ -507,6 +508,39 @@ def test_cli_parses_each_file_once(tmp_path: Path, monkeypatch, capsys):
             "src/repro/sim/loop.py": 1,
         }
     )
+
+
+def test_cli_one_file_runs_per_file_rules_on_that_file_only(
+    tmp_path: Path, monkeypatch, capsys
+):
+    # The widened src/ files feed the project rules (the cross-module
+    # RL009 finding below needs admit.py's facts), but the per-file rules
+    # run on the requested file alone: loop.py's RL002 mix is never seen.
+    write_tree(
+        tmp_path,
+        {
+            "src/repro/core/admit.py": "def admit(deadline_ns):\n    return deadline_ns\n",
+            "src/repro/core/caller.py": (
+                "from repro.core.admit import admit\n\n"
+                "def caller(cutoff_ms):\n    return admit(cutoff_ms)\n"
+            ),
+            "src/repro/sim/loop.py": "total = deadline_ns + horizon_s\n",
+        },
+    )
+    checked: list[str] = []
+    real_run_rules = repro.lint._run_rules
+
+    def recording_run_rules(ctx, codes=None):
+        checked.append(ctx.path)
+        return real_run_rules(ctx, codes)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(repro.lint, "_run_rules", recording_run_rules)
+    assert lint_main(["src/repro/core/caller.py"]) == 1
+    out = capsys.readouterr().out
+    assert checked == ["src/repro/core/caller.py"]
+    assert "src/repro/core/caller.py:4:" in out and "RL009" in out
+    assert "src/repro/sim/loop.py" not in out
 
 
 def test_cli_changed_mode(tmp_path: Path):

@@ -1,4 +1,5 @@
-"""Tests for offload engine, trading engine, DMA, stages and feed handler."""
+"""Tests for offload engine, back-test pending queue, trading engine, DMA,
+stages and feed handler."""
 
 import dataclasses
 
@@ -19,6 +20,7 @@ from repro.pipeline import (
     RiskLimits,
     TradingEngine,
 )
+from repro.pipeline.offload import PendingIndexStore
 from repro.protocol import (
     ILink3Order,
     PacketParser,
@@ -81,7 +83,8 @@ class TestOffloadEngine:
         assert engine.pending_count() == 3
         assert engine.dropped_overflow == 2
         assert queries[0].dropped and queries[1].dropped
-        assert engine.peek_pending() is queries[2]
+        (head,) = engine.pop_batch(1)
+        assert head is queries[2]
 
     def test_pop_batch_fifo_order(self):
         engine = OffloadEngine(window=1)
@@ -89,30 +92,6 @@ class TestOffloadEngine:
         batch = engine.pop_batch(3)
         assert batch == queries[:3]
         assert engine.pending_count() == 1
-
-    def test_drop_stale(self):
-        engine = OffloadEngine(window=1)
-        engine.on_tick(snapshot(0), 0, deadline=10)
-        engine.on_tick(snapshot(1), 1, deadline=500)
-        dropped = engine.drop_stale(now=100)
-        assert len(dropped) == 1
-        assert engine.dropped_stale == 1
-        assert engine.pending_count() == 1
-
-    def test_drop_oldest(self):
-        engine = OffloadEngine(window=1)
-        first = engine.on_tick(snapshot(0), 0, 100)
-        engine.on_tick(snapshot(1), 1, 101)
-        victim = engine.drop_oldest()
-        assert victim is first
-        assert engine.dropped_unschedulable == 1
-
-    def test_pending_deadlines(self):
-        engine = OffloadEngine(window=1)
-        for i in range(4):
-            engine.on_tick(snapshot(i), i, 100 + i)
-        assert engine.pending_deadlines(2) == [100, 101]
-        assert engine.pending_deadlines(10) == [100, 101, 102, 103]
 
     @pytest.mark.parametrize("window", [1, 3, 100])
     def test_window_is_the_stack_of_the_last_accepted_vectors(self, window):
@@ -151,6 +130,35 @@ class TestOffloadEngine:
             OffloadEngine(max_pending=0)
         with pytest.raises(SchedulingError):
             OffloadEngine(window=1).pop_batch(0)
+
+
+def pending_store(deadlines):
+    """A back-test queue over rows arriving at 0, 1, 2, ... with ``deadlines``."""
+    dl = np.asarray(deadlines, dtype=np.int64)
+    store = PendingIndexStore(np.arange(len(dl), dtype=np.int64), dl, 0)
+    for index in range(len(dl)):
+        assert store.admit_index(index, index) is None
+    return store
+
+
+class TestPendingIndexStore:
+    def test_drop_stale(self):
+        store = pending_store([10, 500])
+        assert store.drop_stale(now=100) == [0]
+        assert store.dropped_stale == 1
+        assert store.pending_count() == 1
+
+    def test_drop_oldest(self):
+        store = pending_store([100, 101])
+        assert store.drop_oldest() == 0
+        assert store.dropped_unschedulable == 1
+        assert store.pending_count() == 1
+
+    def test_pending_deadlines_less(self):
+        store = pending_store([100, 101, 102, 103])
+        assert store.pending_deadlines_less(2, 0) == [100, 101]
+        assert store.pending_deadlines_less(10, 0) == [100, 101, 102, 103]
+        assert store.pending_deadlines_less(2, 30) == [70, 71]
 
 
 class TestTradingEngine:

@@ -1,10 +1,10 @@
-"""Property tests for depth snapshots and the offload queue."""
+"""Property tests for depth snapshots and the back-test's pending queue."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.lob import DepthSnapshot
-from repro.pipeline import OffloadEngine
+from repro.pipeline.offload import PendingIndexStore
 
 
 levels = st.lists(
@@ -63,38 +63,106 @@ class TestSnapshotProperties:
         assert -1.0 <= snap.imbalance() <= 1.0
 
 
+def _rows(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` workload rows: non-decreasing arrivals (with ties) and
+    deadlines from already expired to ~60 ns out."""
+    rng = np.random.default_rng(seed)
+    timestamps = np.cumsum(rng.integers(0, 5, size=n)).astype(np.int64)
+    deadlines = timestamps + rng.integers(-5, 60, size=n)
+    return timestamps, deadlines
+
+
 class TestOffloadQueueProperties:
     @given(
+        st.integers(0, 2**32 - 1),
+        # A shallow bound that overflows often, and one that lets the
+        # queue grow past drop_stale's vectorized threshold of 32.
+        st.sampled_from([8, 40]),
         st.lists(
-            st.tuples(st.sampled_from(["tick", "pop", "drop", "stale"]),
-                      st.integers(1, 4)),
+            st.tuples(
+                st.sampled_from(
+                    ["admit", "run", "pop", "pop_batch", "drop", "stale", "requeue"]
+                ),
+                st.integers(1, 8),
+            ),
             min_size=1,
             max_size=60,
-        )
+        ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_queue_accounting_invariant(self, ops):
-        """created == pending + popped + dropped at all times."""
-        engine = OffloadEngine(window=1, max_pending=8)
-        snap = DepthSnapshot(
-            symbol="S", timestamp=0, depth=10, bids=((100, 1),), asks=((101, 1),)
-        )
-        created = popped = 0
+    def test_queue_accounting_invariant(self, seed, max_pending, ops):
+        """admitted == pending + popped + dropped - requeued at all times."""
+        timestamps, deadlines = _rows(seed, 8 * len(ops))
+        store = PendingIndexStore(timestamps, deadlines, 0, max_pending=max_pending)
+        row = popped = requeued = 0
         now = 0
+        held: list = []  # popped Query objects, for requeue_front
         for op, arg in ops:
-            now += 10
-            if op == "tick":
+            if op == "admit":  # per-event admission, overflow allowed
                 for __ in range(arg):
-                    if engine.on_tick(snap, now, now + 50) is not None:
-                        created += 1
+                    now = int(timestamps[row])
+                    store.admit_index(row, now)
+                    row += 1
+            elif op == "run":  # admit_run under its preconditions
+                stop = row + arg
+                if store.can_admit_run(arg):
+                    store.admit_run(row, stop, timestamps[row:stop])
+                    now = int(timestamps[stop - 1])
+                    row = stop
             elif op == "pop":
-                popped += len(engine.pop_batch(arg))
+                popped += len(store.pop_indices(arg))
+            elif op == "pop_batch":
+                batch = store.pop_batch(arg)
+                popped += len(batch)
+                held.append(batch)
             elif op == "drop":
-                if engine.drop_oldest() is not None:
-                    pass
-            else:
-                engine.drop_stale(now)
-            assert (
-                engine.pending_count() + popped + engine.total_dropped == created
+                store.drop_oldest()
+            elif op == "stale":
+                store.drop_stale(now)
+            elif held:  # requeue a surrendered batch
+                batch = held.pop()
+                store.requeue_front(batch)
+                requeued += len(batch)
+            dropped = (
+                store.dropped_overflow
+                + store.dropped_stale
+                + store.dropped_unschedulable
             )
-            assert engine.pending_count() <= 8
+            assert store.admitted == row
+            assert store.admitted == (
+                store.pending_count() + popped + dropped - requeued
+            )
+            assert store.queue_depth_high_water >= store.pending_count()
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 50),
+        st.integers(0, 10),
+        st.integers(1, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_admit_run_matches_per_event_admission(self, seed, prefix, pops, run):
+        """One admit_run over rows [a, j) drops the same queries, at the
+        same times and in the same order, and leaves the same queue and
+        counters as admit_index(k, t_k) then drop_stale(t_k) per row."""
+        timestamps, deadlines = _rows(seed, prefix + run)
+        stores = []
+        for __ in range(2):
+            store = PendingIndexStore(timestamps, deadlines, 0, max_pending=1024)
+            for index in range(prefix):  # identical pending state
+                store.admit_index(index, int(timestamps[index]))
+            if pops:
+                store.pop_indices(pops)
+            stores.append(store)
+        batched, per_event = stores
+        a, j = prefix, prefix + run
+        got = batched.admit_run(a, j, timestamps[a:j])
+        want = []
+        for index in range(a, j):
+            t = int(timestamps[index])
+            assert per_event.admit_index(index, t) is None
+            want.extend((victim, t) for victim in per_event.drop_stale(t))
+        assert got == want
+        for name in ("admitted", "dropped_stale", "queue_depth_high_water"):
+            assert getattr(batched, name) == getattr(per_event, name), name
+        assert batched.pop_indices(1024) == per_event.pop_indices(1024)

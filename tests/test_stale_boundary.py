@@ -11,60 +11,82 @@ These tests exist so a future refactor cannot silently flip any ``<=``
 to ``<`` (or vice versa) in one layer without the others noticing.
 """
 
+import numpy as np
+
 from repro.accelerator.power import DVFSTable
 from repro.baselines.profiles import lighttrader_profile
 from repro.core.scheduler import WorkloadScheduler
-from repro.pipeline.offload import OffloadEngine, Query
+from repro.pipeline.offload import PendingIndexStore, Query
+
+# Filler rows that never go stale, queued behind each case's own rows:
+# none gives a shallow queue (drop_stale's scalar scan), 40 a queue
+# deeper than 32 (its vectorized pass).
+PADDINGS = (0, 40)
+_FAR = 10**15
 
 
 def _query(query_id: int, deadline: int) -> Query:
     return Query(query_id=query_id, tick_index=query_id, arrival=0, deadline=deadline)
 
 
-def _engine_with(*queries: Query) -> OffloadEngine:
-    engine = OffloadEngine(window=1, store_tensors=False)
-    for query in queries:
-        engine.admit(query)
-    return engine
+def _store(deadlines: list[int], padding: int) -> PendingIndexStore:
+    """Workload rows with ``deadlines``, then ``padding`` filler rows."""
+    dl = np.array(deadlines + [_FAR] * padding, dtype=np.int64)
+    return PendingIndexStore(
+        np.zeros(len(dl), dtype=np.int64), dl, enqueue_offset_ns=0, max_pending=1024
+    )
+
+
+def _admit(store: PendingIndexStore, rows) -> None:
+    for index in rows:
+        assert store.admit_index(index, 0) is None
 
 
 class TestOffloadDropStale:
     def test_deadline_equal_now_is_stale(self):
-        engine = _engine_with(_query(0, deadline=100))
-        dropped = engine.drop_stale(100)
-        assert [q.query_id for q in dropped] == [0]
-        assert dropped[0].drop_reason == "stale"
-        assert engine.pending_count() == 0
+        for padding in PADDINGS:
+            store = _store([100], padding)
+            _admit(store, range(1 + padding))
+            assert store.drop_stale(100) == [0]
+            assert store.dropped_stale == 1
+            assert store.pending_count() == padding
 
     def test_deadline_one_past_now_survives(self):
-        engine = _engine_with(_query(0, deadline=101))
-        assert engine.drop_stale(100) == []
-        assert engine.pending_count() == 1
+        for padding in PADDINGS:
+            store = _store([101], padding)
+            _admit(store, range(1 + padding))
+            assert store.drop_stale(100) == []
+            assert store.pending_count() == 1 + padding
 
     def test_mixed_boundary(self):
-        engine = _engine_with(
-            _query(0, deadline=99), _query(1, deadline=100), _query(2, deadline=101)
-        )
-        dropped = engine.drop_stale(100)
-        assert sorted(q.query_id for q in dropped) == [0, 1]
-        assert engine.pending_count() == 1
+        for padding in PADDINGS:
+            store = _store([99, 100, 101], padding)
+            _admit(store, range(3 + padding))
+            assert store.drop_stale(100) == [0, 1]
+            assert store.pending_count() == 1 + padding
 
     def test_requeue_front_restores_scan_bound(self):
         # A re-issued query with an earlier deadline than anything pending
         # must lower the stale-scan bound, or drop_stale would skip it.
-        engine = _engine_with(_query(0, deadline=1_000))
-        engine.drop_stale(500)  # raises the internal bound to 1_000
-        surrendered = _query(1, deadline=600)
-        engine.requeue_front([surrendered])
-        dropped = engine.drop_stale(600)
-        assert [q.query_id for q in dropped] == [1]
-        assert engine.pending_count() == 1
+        for padding in PADDINGS:
+            store = _store([600, 1_000], padding)
+            _admit(store, [0])
+            surrendered = store.pop_batch(1)
+            _admit(store, range(1, 2 + padding))  # empty queue: bound 1_000
+            assert store.drop_stale(500) == []
+            store.requeue_front(surrendered)
+            assert store.drop_stale(600) == [0]
+            assert store.pending_count() == 1 + padding
 
     def test_requeue_front_preserves_order(self):
-        engine = _engine_with(_query(2, deadline=900))
-        engine.requeue_front([_query(0, deadline=800), _query(1, deadline=850)])
-        dropped = engine.drop_stale(10_000)
-        assert [q.query_id for q in dropped] == [0, 1, 2]
+        for padding in PADDINGS:
+            store = _store([800, 850, 900], padding)
+            _admit(store, [0, 1])
+            surrendered = store.pop_batch(2)
+            _admit(store, range(2, 3 + padding))
+            store.requeue_front(surrendered)
+            assert store.drop_stale(10_000) == [0, 1, 2]
+            assert store.pending_count() == padding
 
 
 class TestCompletionBoundary:
