@@ -193,6 +193,8 @@ class Accelerator:
         """
         if not self.healthy:
             raise AcceleratorError(f"accel {self.accel_id}: cannot issue to a failed device")
+        if self.current is not None:  # in flight until finish(), even when due
+            raise AcceleratorError(f"accel {self.accel_id}: batch still in flight")
         start = self.ready_time(now)
         if start > now:
             raise AcceleratorError(
@@ -335,8 +337,12 @@ class AcceleratorCluster:
         return sum(1 for d in self.devices if d.healthy)
 
     def idle_devices(self, now: int) -> list[Accelerator]:
-        """Healthy devices able to accept a new batch at ``now``."""
-        return [d for d in self.devices if d.healthy and d.ready_time(now) <= now]
+        """Healthy devices able to take a batch at ``now`` (none in flight)."""
+        return [
+            d
+            for d in self.devices
+            if d.healthy and d.current is None and d.ready_time(now) <= now
+        ]
 
     def busy_devices(self, now: int) -> list[Accelerator]:
         """Healthy devices with a batch in flight at ``now``."""

@@ -21,9 +21,10 @@ recording is two shifts and an index, worst-case relative resolution is
 ~3.1%, so a 10% tail shift always lands in a different bucket.
 
 Snapshots flush on *simulation time* (never wall clock — RL001-clean):
-bind a sink with :meth:`MetricRegistry.bind_flush` and the hot path's
-``maybe_flush(now_ns)`` emits one snapshot event per elapsed sim-time
-interval through the run's existing JSONL trace writer.
+bind a sink with :meth:`MetricRegistry.bind_flush`, and each sim-time
+interval that ``maybe_flush(now_ns)`` (or a caller comparing
+``next_flush_ns``) sees pass emits one snapshot event through the run's
+existing JSONL trace writer.
 
 Metric names under the ``impl.`` prefix are implementation diagnostics
 (memo hit ratios, redistribution call counts) that legitimately differ
@@ -36,6 +37,8 @@ semantically pinned quantities.
 from __future__ import annotations
 
 from math import ceil
+
+import numpy as np
 
 from repro.hotpath import hot_path
 
@@ -63,6 +66,8 @@ _SUBBUCKETS = 32
 # Largest index an int64 value can produce (v = 2**63 - 1 -> e = 56,
 # sub = 31), plus one for the array size.
 _N_BUCKETS = _EXACT_LIMIT + 57 * _SUBBUCKETS  # 1888
+# 2**0 .. 2**62: a value's bit length is the count of these at or below it.
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
 # Sentinel "never" for the flush deadline: one integer compare on the
 # hot path decides that flushing is off.
 _NEVER_NS = 1 << 62
@@ -167,6 +172,29 @@ class Log2Histogram:
         self.count += 1
         self.total += value
 
+    def record_many(self, values: np.ndarray) -> None:
+        """:meth:`record` each int64 of ``values`` in one pass: the same
+        buckets, count, total, min and max as per-value calls, in any
+        order.  Bit lengths come from a search over the powers of two,
+        exact for every int64 (a float ``frexp`` is not above 2**53)."""
+        if not len(values):
+            return
+        values = np.asarray(values, dtype=np.int64)
+        index = np.where(values > 0, values, 0)
+        big = values >= _EXACT_LIMIT
+        v = values[big]
+        e = np.searchsorted(_POWERS_OF_TWO, v, side="right") - 7
+        index[big] = _EXACT_LIMIT - _SUBBUCKETS + (e << 5) + (v >> (e + 1))
+        hits = np.bincount(index, minlength=_N_BUCKETS)
+        buckets = np.flatnonzero(hits)
+        for bucket, n in zip(buckets.tolist(), hits[buckets].tolist()):
+            self.counts[bucket] += n
+        low, high = int(values.min()), int(values.max())
+        self.min = low if self.count == 0 else min(self.min, low)
+        self.max = high if self.count == 0 else max(self.max, high)
+        self.count += len(values)
+        self.total += sum(values.tolist())  # Python ints: an int64 sum can wrap
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else float("nan")
@@ -253,9 +281,11 @@ class MetricRegistry:
         self._histograms: dict[str, Log2Histogram] = {}
         # Sim-time flush state: one comparison on the hot path decides
         # whether a snapshot is due (``_NEVER_NS`` = flushing off).
+        # ``next_flush_ns`` is public so a recorder that batches its
+        # updates can fold them in just before a due snapshot.
         self._flush_sink = None
         self._flush_interval_ns = 0
-        self._next_flush_ns = _NEVER_NS
+        self.next_flush_ns = _NEVER_NS
         self.flushes = 0
 
     def counter(self, name: str) -> Counter:
@@ -326,11 +356,11 @@ class MetricRegistry:
             return
         self._flush_sink = sink
         self._flush_interval_ns = interval_ns
-        self._next_flush_ns = start_ns + interval_ns
+        self.next_flush_ns = start_ns + interval_ns
 
     @hot_path
     def maybe_flush(self, now_ns: int) -> None:
-        if now_ns < self._next_flush_ns:
+        if now_ns < self.next_flush_ns:
             return
         self.flush(now_ns)
 
@@ -342,12 +372,12 @@ class MetricRegistry:
         event.update(self.public_snapshot())
         self._flush_sink(event)
         self.flushes += 1
-        next_ns = self._next_flush_ns + self._flush_interval_ns
+        next_ns = self.next_flush_ns + self._flush_interval_ns
         if next_ns <= now_ns:
             # The sim jumped several intervals at once: emit one snapshot
             # for the jump, not a burst of identical stale ones.
             next_ns = now_ns + self._flush_interval_ns
-        self._next_flush_ns = next_ns
+        self.next_flush_ns = next_ns
 
 
 NULL_METRICS = MetricRegistry(enabled=False)

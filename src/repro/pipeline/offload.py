@@ -7,17 +7,20 @@ in a ring buffer from which each query copies the model's 2-D input
 feature map, and queues the resulting query for the DNN pipeline,
 tail-dropping the oldest query when the queue overflows.
 
-The back-test's pending queue is :class:`PendingIndexStore`.  It owns
-stale-query management: queries whose deadline has passed are dropped
-before wasting accelerator time, the oldest query is evicted when the
-scheduler finds no feasible offloading option (Algorithm 1's fallback),
-and a surrendered batch goes back to the head of the queue.
+The back-test's pending queue is :class:`PendingIndexStore`, a FIFO
+plus a deadline heap.  It owns stale-query management: queries whose
+deadline has passed are dropped before wasting accelerator time, the
+oldest query is evicted when the scheduler finds no feasible offloading
+option (Algorithm 1's fallback), and a surrendered batch goes back to
+the head of the queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import itemgetter
 
 import numpy as np
 
@@ -201,22 +204,20 @@ class OffloadEngine:
 
 
 class PendingIndexStore:
-    """Struct-of-arrays pending queue of the back-test pumps.
+    """Pending queue of the back-test pumps, over workload row indices.
 
-    The store queues *workload row indices*: timestamps and deadlines
-    stay in the workload's int64 arrays and a ``Query`` is materialised
-    lazily — at batch issue, at drop recording, and on fault paths — so
-    the admission hot path allocates nothing per event.  It owns the
-    back-test's queue policy: FIFO order, overflow tail-drop, stale drops
-    behind a conservative deadline scan bound, eviction of the oldest
-    query, ``requeue_front`` fault semantics and the drop counters.  The
-    loop-parity tests hold it byte-identical to the :class:`Query`-object
-    queue of the reference pumps in ``tests/oracles/backtest.py``.
-
-    ``admit_run`` is the batched path: it admits a contiguous run of
-    arrivals that occur between two scheduling decisions in one call,
-    replaying the per-event admit → stale-scan cadence as one vectorized
-    pass with identical drop order and drop timestamps.
+    A ``Query`` is materialised lazily: at batch issue, at drop recording
+    and on fault paths.  The store owns the queue policy: FIFO order,
+    overflow tail-drop, stale drops, eviction of the oldest query,
+    ``requeue_front`` and the drop counters.  Each admission is one entry
+    ``[deadline, rank, index]``, held in a FIFO and in a deadline
+    min-heap.  Ranks are unique; admissions take them at the back and
+    ``requeue_front`` below the head, so FIFO order is rank order.
+    Removal is lazy: it sets the entry's index to -1, the heap discards
+    dead entries when their deadlines come up, and the FIFO skips them
+    (its head is always live).  So a stale drop costs O(log n) and never
+    rescans the queue.  The loop-parity tests hold the store to the
+    ``Query`` queue of the reference pumps in ``tests/oracles/``.
     """
 
     def __init__(
@@ -228,21 +229,19 @@ class PendingIndexStore:
     ) -> None:
         if max_pending <= 0:
             raise SchedulingError(f"max_pending must be positive, got {max_pending}")
-        self._dl = np.ascontiguousarray(deadlines, dtype=np.int64)
-        # Python-int mirrors: O(1) unboxed lookups on the decision path
+        # Python-int copies: O(1) unboxed lookups on the decision path
         # (a numpy scalar index costs ~10x a list index).  Public so the
-        # fast loop's lazy completion path can score queries straight
-        # from the arrays without materialising Query objects.
+        # pumps' lazy completion path can score queries straight from
+        # the arrays without materialising Query objects.
         self.ts_list: list[int] = timestamps.tolist()
-        self.dl_list: list[int] = self._dl.tolist()
+        self.dl_list: list[int] = np.asarray(deadlines, dtype=np.int64).tolist()
         self._enqueue_offset_ns = enqueue_offset_ns
         self.max_pending = max_pending
-        self._buf: list[int] = []  # pending workload indices, FIFO
-        self._head = 0
-        # Lower bound on the pending deadlines' minimum: drop_stale skips
-        # its scan while now < bound.  Removals only raise the true
-        # minimum, so the bound stays conservative without bookkeeping.
-        self._min_deadline_bound = 0
+        self._fifo: deque[list[int]] = deque()
+        self._heap: list[list[int]] = []
+        self._front = 0  # lowest rank handed out (requeues go below it)
+        self._back = 0  # rank of the next admission
+        self._count = 0  # live entries
         # Injector-perturbed admissions (stall/reorder) enqueue later than
         # arrival + offset; everything else derives its enqueue time.
         self._enqueue_override: dict[int, int] = {}
@@ -271,22 +270,25 @@ class PendingIndexStore:
     # -- queue management --------------------------------------------------------
 
     def pending_count(self) -> int:
-        return len(self._buf) - self._head
+        return self._count
 
     def oldest_index(self) -> int | None:
-        return self._buf[self._head] if self._head < len(self._buf) else None
+        return self._fifo[0][2] if self._count else None
 
     def oldest_deadline(self) -> int | None:
-        if self._head >= len(self._buf):
-            return None
-        return self.dl_list[self._buf[self._head]]
+        return self._fifo[0][0] if self._count else None
 
     def pending_deadlines_less(self, k: int, offset: int) -> list[int]:
         """Deadlines of the first ``k`` pending queries, FIFO order, each
         less ``offset`` — one pass for the scheduler's slack-adjusted
         deadline list."""
-        dl = self.dl_list
-        return [dl[i] - offset for i in self._buf[self._head : self._head + k]]
+        out: list[int] = []
+        for entry in self._fifo:
+            if len(out) >= k:
+                break
+            if entry[2] >= 0:
+                out.append(entry[0] - offset)
+        return out
 
     @hot_path
     def admit_index(self, index: int, enqueue_ns: int) -> int | None:
@@ -296,143 +298,88 @@ class PendingIndexStore:
         (reason ``overflow``) before the new one is appended.
         """
         victim = None
-        buf = self._buf
-        if len(buf) - self._head >= self.max_pending:
-            victim = buf[self._head]
-            self._head += 1
+        fifo = self._fifo
+        count = self._count
+        if count >= self.max_pending:
+            head = fifo.popleft()
+            victim = head[2]
+            head[2] = -1
+            while fifo and fifo[0][2] < 0:
+                fifo.popleft()
+            count -= 1
             self.dropped_overflow += 1
-        default = self.ts_list[index] + self._enqueue_offset_ns
-        if enqueue_ns != default:
+        if enqueue_ns != self.ts_list[index] + self._enqueue_offset_ns:
             self._enqueue_override[index] = enqueue_ns
-        if self._head >= len(buf):
-            self._min_deadline_bound = self.dl_list[index]
-        else:
-            deadline = self.dl_list[index]
-            if deadline < self._min_deadline_bound:
-                self._min_deadline_bound = deadline
-        buf.append(index)
+        rank = self._back
+        self._back = rank + 1
+        entry = [self.dl_list[index], rank, index]
+        fifo.append(entry)
+        heappush(self._heap, entry)
+        count += 1
+        self._count = count
         self.admitted += 1
-        depth = len(buf) - self._head
-        if depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = depth
+        if count > self.queue_depth_high_water:
+            self.queue_depth_high_water = count
         return victim
 
     @hot_path
     def can_admit_run(self, count: int) -> bool:
         """True when ``count`` consecutive admissions cannot overflow."""
-        return self.pending_count() + count <= self.max_pending
+        return self._count + count <= self.max_pending
 
     def admit_run(
         self, start: int, stop: int, times_ns: np.ndarray
     ) -> list[tuple[int, int]]:
         """Admit workload rows ``[start, stop)`` arriving at
-        ``times_ns[k - start]``, replaying the per-event
-        admit → stale-scan cadence in one vectorized pass.
+        ``times_ns[k - start]``, each admission followed by
+        ``drop_stale`` at its arrival time, in one call.
 
-        Preconditions (the caller's to guarantee): no overflow possible
-        (``can_admit_run``), row index == query id (injector-free run),
-        times non-decreasing.  Returns the stale victims as
-        ``(index, drop_ns)`` in exactly the order and with exactly the
-        timestamps the per-event loop would have produced: ascending drop
-        step, FIFO queue order within a step, ``drop_ns`` = the arrival
-        timestamp of the step whose scan caught the victim.
+        Preconditions (the caller's): no overflow (``can_admit_run``), row
+        index == query id (injector-free run), non-decreasing times.
+        Returns the stale victims as ``(index, drop_ns)`` in drop order,
+        ``drop_ns`` being the arrival time of the step that dropped them.
         """
-        buf = self._buf
-        head = self._head
-        times = np.ascontiguousarray(times_ns[: stop - start], dtype=np.int64)
-        t_last = int(times[-1])
-        new_dl = self._dl[start:stop]
-        drops: list[tuple[int, int, int]] = []  # (step, rank, index)
-        kept_existing: list[int] | None = None
-        # Existing pending: anything expiring by the run's end is dropped
-        # at the first step whose arrival time reaches its deadline.
-        if head < len(buf) and t_last >= self._min_deadline_bound:
-            existing = np.asarray(buf[head:], dtype=np.int64)
-            exist_dl = self._dl[existing]
-            stale = exist_dl <= t_last
-            if stale.any():
-                ranks = np.flatnonzero(stale)
-                steps = np.searchsorted(times, exist_dl[ranks], side="left")
-                for rank, step, index in zip(
-                    ranks.tolist(), steps.tolist(), existing[ranks].tolist()
-                ):
-                    drops.append((step, rank, index))
-                kept_existing = existing[~stale].tolist()
-        # New arrivals: admitted at their own step, droppable from then on.
-        rank_base = len(buf) - head
-        stale_new = new_dl <= t_last
-        if stale_new.any():
-            offsets = np.flatnonzero(stale_new)
-            steps = np.searchsorted(times, new_dl[offsets], side="left")
-            # A query cannot be dropped before it arrives: clamp to its
-            # own admission step (its deadline may predate the run).
-            steps = np.maximum(steps, offsets)
-            for off, step in zip(offsets.tolist(), steps.tolist()):
-                drops.append((step, rank_base + off, start + off))
-            kept_new = (start + np.flatnonzero(~stale_new)).tolist()
-        else:
-            kept_new = list(range(start, stop))
-        # High-water replay: the per-event loop observes queue depth right
-        # after each admission, before that step's stale scan — so the
-        # depth after admitting arrival k is ``rank_base + (k+1)`` minus
-        # the drops whose scan step is < k (a step-s drop lands after
-        # step s's own admission).
-        n = stop - start
-        self.admitted += n
-        if drops:
-            steps_sorted = np.sort(
-                np.asarray([d[0] for d in drops], dtype=np.int64)
-            )
-            arange_n = np.arange(n, dtype=np.int64)
-            before = np.searchsorted(steps_sorted, arange_n, side="left")
-            peak = rank_base + int((arange_n + 1 - before).max())
-        else:
-            peak = rank_base + n
-        if peak > self.queue_depth_high_water:
-            self.queue_depth_high_water = peak
-        if drops:
-            self.dropped_stale += len(drops)
-            if kept_existing is not None:
-                self._buf = kept_existing + kept_new
-                self._head = 0
-            else:
-                buf.extend(kept_new)
-            drops.sort()
-            out = [(index, int(times[step])) for step, _rank, index in drops]
-        else:
-            buf.extend(kept_new)
-            out = []
-        # Exact bound over the survivors (cheap: arrays are at hand).
-        remaining = self._buf[self._head :]
-        if remaining:
-            self._min_deadline_bound = int(self._dl[remaining].min())
-        else:
-            self._min_deadline_bound = 0
-        return out
+        fifo = self._fifo
+        heap = self._heap
+        dl = self.dl_list
+        rank = self._back
+        count = self._count
+        high = self.queue_depth_high_water
+        drops: list[tuple[int, int]] = []
+        index = start
+        for now in times_ns[: stop - start].tolist():
+            entry = [dl[index], rank, index]
+            fifo.append(entry)
+            heappush(heap, entry)
+            index += 1
+            rank += 1
+            count += 1
+            if count > high:
+                high = count
+            if heap[0][0] <= now:
+                due = []
+                while heap and heap[0][0] <= now:
+                    entry = heappop(heap)
+                    if entry[2] >= 0:
+                        due.append(entry)
+                if len(due) > 1:
+                    due.sort(key=_rank)
+                for entry in due:
+                    drops.append((entry[2], now))
+                    entry[2] = -1
+                count -= len(due)
+        while fifo and fifo[0][2] < 0:
+            fifo.popleft()
+        self._back = rank
+        self._count = count
+        self.queue_depth_high_water = high
+        self.admitted += stop - start
+        self.dropped_stale += len(drops)
+        return drops
 
     def pop_batch(self, batch_size: int) -> list[Query]:
         """Dequeue up to ``batch_size`` oldest queries, materialised."""
-        if batch_size <= 0:
-            raise SchedulingError(f"batch size must be positive, got {batch_size}")
-        buf = self._buf
-        head = self._head
-        take = min(batch_size, len(buf) - head)
-        if take <= 0:
-            return []
-        batch = [self.materialise(i) for i in buf[head : head + take]]
-        head += take
-        if head >= len(buf):
-            buf.clear()
-            head = 0
-        elif head > 1024:
-            del buf[:head]
-            head = 0
-        self._head = head
-        overrides = self._enqueue_override
-        if overrides:
-            for query in batch:
-                overrides.pop(query.query_id, None)
-        return batch
+        return [self.materialise(index) for index in self.pop_indices(batch_size)]
 
     def pop_indices(self, batch_size: int) -> list[int]:
         """Dequeue up to ``batch_size`` oldest queries as raw workload
@@ -440,56 +387,57 @@ class PendingIndexStore:
         need Query objects (no injector, span tracing off)."""
         if batch_size <= 0:
             raise SchedulingError(f"batch size must be positive, got {batch_size}")
-        buf = self._buf
-        head = self._head
-        take = min(batch_size, len(buf) - head)
-        if take <= 0:
-            return []
-        batch = buf[head : head + take]
-        head += take
-        if head >= len(buf):
-            buf.clear()
-            head = 0
-        elif head > 1024:
-            del buf[:head]
-            head = 0
-        self._head = head
-        overrides = self._enqueue_override
-        if overrides:
-            for index in batch:
-                overrides.pop(index, None)
+        fifo = self._fifo
+        batch: list[int] = []
+        take = min(batch_size, self._count)
+        self._count -= take
+        while take:
+            entry = fifo.popleft()
+            index = entry[2]
+            if index >= 0:
+                entry[2] = -1
+                batch.append(index)
+                take -= 1
+        while fifo and fifo[0][2] < 0:
+            fifo.popleft()
         return batch
 
     def drop_oldest(self) -> int | None:
         """Evict the oldest pending query (Algorithm 1's fallback path);
         returns its index (the caller materialises if it needs a Query)."""
-        index = self.oldest_index()
-        if index is None:
+        if not self._count:
             return None
-        self._head += 1
+        fifo = self._fifo
+        entry = fifo.popleft()
+        index = entry[2]
+        entry[2] = -1
+        while fifo and fifo[0][2] < 0:
+            fifo.popleft()
+        self._count -= 1
         self.dropped_unschedulable += 1
         return index
 
     def requeue_front(self, queries: "list[Query]") -> None:
         """Put surrendered queries back at the head, oldest first."""
-        if not queries:
-            return
-        requeued_min = min(q.deadline for q in queries)
-        if self._head >= len(self._buf):
-            self._min_deadline_bound = requeued_min
-        else:
-            self._min_deadline_bound = min(self._min_deadline_bound, requeued_min)
-        for query in queries:
-            default = self.ts_list[query.query_id] + self._enqueue_offset_ns
+        fifo = self._fifo
+        rank = self._front
+        for query in reversed(queries):
+            index = query.query_id
+            default = self.ts_list[index] + self._enqueue_offset_ns
             if query.enqueue_time is not None and query.enqueue_time != default:
-                self._enqueue_override[query.query_id] = query.enqueue_time
-        self._buf[self._head : self._head] = [q.query_id for q in queries]
-        depth = len(self._buf) - self._head
-        if depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = depth
+                self._enqueue_override[index] = query.enqueue_time
+            rank -= 1
+            entry = [query.deadline, rank, index]
+            fifo.appendleft(entry)
+            heappush(self._heap, entry)
+        self._front = rank
+        self._count += len(queries)
+        if self._count > self.queue_depth_high_water:
+            self.queue_depth_high_water = self._count
 
     def drop_stale(self, now: int) -> list[int]:
-        """Indices of every pending query with ``deadline <= now``, removed.
+        """Indices of every pending query with ``deadline <= now``, removed,
+        in FIFO order.
 
         Boundary convention (pinned repo-wide): ``deadline <= now`` is
         stale.  Inference takes strictly positive time, so a query still
@@ -498,62 +446,31 @@ class PendingIndexStore:
         exactly at the deadline is in time (``Query.in_time``,
         ``MetricsCollector``), and issue feasibility is
         ``now + fastest <= deadline``
-        (``WorkloadScheduler.deadline_feasible``).
-
-        The scan is skipped while ``now`` is below the deadline bound,
-        and every scan retightens the bound to the exact pending
-        minimum, so scans almost always pay for themselves with at least
-        one drop.
+        (``WorkloadScheduler.deadline_feasible``).  The rule covers the
+        -1 marker of an unscored query too: it is stale at the first
+        scan.  Only due heap entries are visited.
         """
-        buf = self._buf
-        head = self._head
-        if head >= len(buf) or now < self._min_deadline_bound:
+        heap = self._heap
+        if not heap or heap[0][0] > now:
             return []
-        if len(buf) - head > 32:
-            # Deep queue: one vectorized pass (same FIFO drop order and
-            # bound retightening as the scalar scan below).
-            pending = np.asarray(buf[head:] if head else buf, dtype=np.int64)
-            pending_dl = self._dl[pending]
-            stale_mask = pending_dl <= now
-            if not stale_mask.any():
-                self._min_deadline_bound = int(pending_dl.min())
-                return []
-            dropped_arr = pending[stale_mask].tolist()
-            kept_arr = pending[~stale_mask]
-            self.dropped_stale += len(dropped_arr)
-            self._buf = kept_arr.tolist()
-            self._head = 0
-            self._min_deadline_bound = (
-                int(pending_dl[~stale_mask].min()) if kept_arr.size else 0
-            )
-            return dropped_arr
-        dl = self.dl_list
-        true_min = None
-        any_stale = False
-        for i in range(head, len(buf)):
-            deadline = dl[buf[i]]
-            if deadline <= now:
-                any_stale = True
-                break
-            if true_min is None or deadline < true_min:
-                true_min = deadline
-        if not any_stale:
-            self._min_deadline_bound = true_min if true_min is not None else 0
-            return []
+        due = []
+        while heap and heap[0][0] <= now:
+            entry = heappop(heap)
+            if entry[2] >= 0:
+                due.append(entry)
+        if len(due) > 1:
+            due.sort(key=_rank)
         dropped: list[int] = []
-        kept: list[int] = []
-        kept_min = None
-        for i in range(head, len(buf)):
-            index = buf[i]
-            deadline = dl[index]
-            if deadline <= now:
-                dropped.append(index)
-            else:
-                if kept_min is None or deadline < kept_min:
-                    kept_min = deadline
-                kept.append(index)
-        self.dropped_stale += len(dropped)
-        self._buf = kept
-        self._head = 0
-        self._min_deadline_bound = kept_min if kept_min is not None else 0
+        for entry in due:
+            dropped.append(entry[2])
+            entry[2] = -1
+        if dropped:
+            fifo = self._fifo
+            while fifo and fifo[0][2] < 0:
+                fifo.popleft()
+            self._count -= len(dropped)
+            self.dropped_stale += len(dropped)
         return dropped
+
+
+_rank = itemgetter(1)  # an entry's rank: FIFO order among stale victims

@@ -20,9 +20,10 @@ into its GPU/FPGA baselines, so :class:`Backtester` refuses a non-empty
 plan on any other profile.
 
 Each system has one event pump.  Both merge the sorted arrival stream
-against the heap with a cursor and drain arrival runs between scheduling
-decisions as vectorized slices over one struct-of-arrays pending queue,
-:class:`~repro.pipeline.offload.PendingIndexStore`.  The LightTrader
+against the heap with a cursor and admit each run of arrivals between
+scheduling decisions in one call to the pending queue,
+:class:`~repro.pipeline.offload.PendingIndexStore`, whose deadline heap
+drops stale queries without rescanning the queue.  The LightTrader
 pump also memoizes Algorithm-1 decisions, gates Algorithm-2
 redistribution and power sampling on a cluster state epoch, and
 materialises :class:`Query` objects lazily.  The golden-model heap
@@ -361,6 +362,10 @@ def _fold_registry(registry: MetricRegistry, state: _Pending) -> None:
 class Backtester:
     """Replays one workload through one system configuration."""
 
+    # The outcome account each run records into (the reference back-test
+    # in ``tests/oracles/`` swaps in the per-event collector).
+    collector = MetricsCollector
+
     def __init__(
         self,
         workload: QueryWorkload,
@@ -407,9 +412,7 @@ class Backtester:
             registry = MetricRegistry(
                 enabled=envcfg.get_int(envcfg.METRICS.name) > 0
             )
-        metrics = MetricsCollector(
-            system=system, model=config.model, registry=registry
-        )
+        metrics = self.collector(system=system, model=config.model, registry=registry)
         telemetry = self.telemetry
         owns_telemetry = False
         if telemetry is None:
@@ -514,7 +517,7 @@ class Backtester:
         heap event at exactly that timestamp, so (a) between consecutive
         heap events with no healthy idle device, arrivals can neither
         issue nor change cluster power — they are pure queue admissions,
-        replayed en masse by ``PendingIndexStore.admit_run``; (b) when
+        taken in one ``PendingIndexStore.admit_run`` call; (b) when
         the summed epoch is unchanged, cluster power at the previous
         sample is still exact, and Algorithm-2 redistribution (a no-op
         then) stays a no-op.  The loop-parity tests enforce all of this
@@ -658,7 +661,7 @@ class Backtester:
             for device in devices if store.pending_count() else ():
                 if (
                     not device.healthy
-                    or device.busy_until > now
+                    or device.current is not None
                     or device.available_at > now
                 ):
                     continue
@@ -710,7 +713,7 @@ class Backtester:
                 if epoch != redist_epoch:
                     reserve = 0.0
                     for d in devices:  # any idle device? (no listcomp)
-                        if d.healthy and d.busy_until <= now and d.available_at <= now:
+                        if d.healthy and d.current is None and d.available_at <= now:
                             reserve = static_power
                             break
                     if ds.redistribute(cluster, now, reserve_w=reserve):
@@ -833,7 +836,7 @@ class Backtester:
                 else:
                     idle = False
                     for d in devices:
-                        if d.healthy and d.busy_until <= now and d.available_at <= now:
+                        if d.healthy and d.current is None and d.available_at <= now:
                             idle = True
                             break
                     if idle:
@@ -846,7 +849,7 @@ class Backtester:
                         # No device can issue before the next heap event
                         # (every busy/ready crossing has one), so every
                         # arrival strictly before it is a pure admission:
-                        # drain the run in one vectorized pass.  With DVFS
+                        # admit the run in one call.  With DVFS
                         # scheduling the reference additionally re-runs
                         # redistribute at every arrival, and an acting
                         # pass is not exhaustive — drain only while the
@@ -1029,8 +1032,8 @@ class Backtester:
                         free = True
                         break
                 if not free:
-                    # All servers busy until the next completion: drain
-                    # the arrival run as one vectorized admission pass.
+                    # All servers busy until the next completion: admit
+                    # the arrival run in one call.
                     j = bisect_left(arr_t, ct, a + 1)
                     if j - a > 1 and store.can_admit_run(j - a):
                         if first_ns < 0:

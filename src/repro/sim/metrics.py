@@ -2,8 +2,10 @@
 
 The simulation framework "tracks each input query to see if its
 tick-to-trade meets the available time and stores the result for the
-record" (paper §IV-A).  :class:`MetricsCollector` is that record keeper;
-:class:`RunResult` is the digest every experiment consumes.
+record" (paper §IV-A).  :class:`MetricsCollector` is that record: an
+append-only log of query outcomes and power samples, which it folds in a
+few numpy passes into :class:`RunResult`, the digest every experiment
+consumes, and into the run's metric registry.
 """
 
 from __future__ import annotations
@@ -15,6 +17,12 @@ import numpy as np
 
 from repro.metrics import MetricRegistry, NULL_METRICS
 from repro.pipeline.offload import Query
+
+
+# The power fold state before the first sample: earlier than any time,
+# and a wattage every reading differs from.
+_BEFORE_ANY_NS = int(np.iinfo(np.int64).min)
+_NAN = float("nan")
 
 
 def _fmt_us(value: float) -> str:
@@ -64,31 +72,34 @@ class RunResult:
 
 @dataclass
 class MetricsCollector:
-    """Accumulates per-query outcomes and a power-over-time integral."""
+    """Logs per-query outcomes and power samples; folds them on demand.
+
+    The recording methods only append.  :meth:`result` folds the whole
+    log into a :class:`RunResult` and may be called repeatedly.  The
+    registry receives each log entry once: at :meth:`result`, or just
+    before a due sim-time flush, so flush events carry the values that
+    counting every outcome as it happens would.  The log is the one
+    account: the counts cannot come from a registry, which may be off.
+    """
 
     system: str
     model: str
-    _latencies_us: list[float] = field(default_factory=list)
-    _batch_sizes: list[int] = field(default_factory=list)
-    responded: int = 0
-    completed_late: int = 0
-    dropped: int = 0
-    unscored: int = 0
-    _energy_j: float = 0.0
-    _power_time_ns: int = 0
-    _peak_power_w: float = 0.0
-    _last_power_sample: tuple[int, float] | None = None
-    # Open constant-wattage segment: (start_ns, watts).  Integration
-    # happens only when the value changes (and for the trailing segment
-    # in result()), so a caller that skips value-identical samples — the
-    # fast simulator loop — accumulates the exact same float sequence as
-    # one that samples every event.
-    _segment: tuple[int, float] | None = None
-    # Aggregate-metric registry; NULL_METRICS is a shared no-op, so the
-    # recording paths below stay branch-free whether metrics are on or
-    # off.  Instruments are pre-bound in ``__post_init__`` — the hot
-    # paths never do a name lookup.
+    # Aggregate-metric registry; the default NULL_METRICS is a shared
+    # no-op, and a disabled registry skips the fold altogether.
     registry: MetricRegistry = field(default=NULL_METRICS, repr=False)
+    # The log: completions as flat (deadline, arrival, order_ns, batch)
+    # quadruples, drops as deadlines, power samples as (ns, W) pairs.
+    _completions: list[int] = field(default_factory=list, repr=False)
+    _drops: list[int] = field(default_factory=list, repr=False)
+    _power_ns: list[int] = field(default_factory=list, repr=False)
+    _power_w: list[float] = field(default_factory=list, repr=False)
+    # Fold state: the log lengths folded so far, the arrays they became
+    # (completions, drops, power times, power watts), and the latest
+    # sample time and last accepted wattage they end on.
+    _folded: tuple[int, int, int] = (0, 0, 0)
+    _parts: list[tuple[np.ndarray, ...]] = field(default_factory=list, repr=False)
+    _folded_ns: int = _BEFORE_ANY_NS
+    _folded_w: float = _NAN
 
     def __post_init__(self) -> None:
         reg = self.registry
@@ -102,23 +113,12 @@ class MetricsCollector:
         self._m_power = reg.gauge("power.rail_w")
 
     def record_completion(self, query: Query, order_time: int, batch_size: int) -> None:
-        """A query's order left the system at ``order_time``."""
-        if query.deadline < 0:
-            self.unscored += 1
-            self._m_unscored.inc()
-            return
-        self._batch_sizes.append(batch_size)
-        self._m_batch.record(batch_size)
-        if order_time <= query.deadline:
-            self.responded += 1
-            self._latencies_us.append((order_time - query.arrival) / 1_000.0)
-            self._m_responded.inc()
-            self._m_t2t.record(order_time - query.arrival)
-        else:
-            self.completed_late += 1
-            self._m_late.inc()
-            self._m_deadline_miss.inc()
-        self.registry.maybe_flush(order_time)
+        """A query's order left the system at ``order_time``: in time when
+        ``order_time <= deadline``, unscored when the deadline is -1."""
+        deadline = query.deadline
+        self._completions.extend((deadline, query.arrival, order_time, batch_size))
+        if order_time >= self.registry.next_flush_ns and deadline >= 0:
+            self._flush(order_time)
 
     def record_completion_ids(
         self,
@@ -127,74 +127,77 @@ class MetricsCollector:
         order_time: int,
         batch_size: int,
     ) -> None:
-        """Plain-int completion recording for the fast loop's lazy path:
-        counter- and float-identical to :meth:`record_completion`
-        without a materialised :class:`Query`."""
-        if deadline < 0:
-            self.unscored += 1
-            self._m_unscored.inc()
-            return
-        self._batch_sizes.append(batch_size)
-        self._m_batch.record(batch_size)
-        if order_time <= deadline:
-            self.responded += 1
-            self._latencies_us.append((order_time - arrival) / 1_000.0)
-            self._m_responded.inc()
-            self._m_t2t.record(order_time - arrival)
-        else:
-            self.completed_late += 1
-            self._m_late.inc()
-            self._m_deadline_miss.inc()
-        self.registry.maybe_flush(order_time)
+        """:meth:`record_completion` from plain ints, for the pumps' lazy
+        path that never materialises a :class:`Query`."""
+        self._completions.extend((deadline, arrival, order_time, batch_size))
+        if order_time >= self.registry.next_flush_ns and deadline >= 0:
+            self._flush(order_time)
 
     def record_drop(self, query: Query) -> None:
         """A query was dropped before completing."""
-        self.record_drop_ids(query.deadline)
+        self._drops.append(query.deadline)
 
     def record_drop_ids(self, deadline: int) -> None:
-        """Plain-int drop recording for the fast loop's lazy path:
-        counter-identical to :meth:`record_drop` without requiring a
-        materialised :class:`Query`."""
-        if deadline < 0:
-            self.unscored += 1
-            self._m_unscored.inc()
-        else:
-            self.dropped += 1
-            self._m_dropped.inc()
-            self._m_deadline_miss.inc()
+        """:meth:`record_drop` from the query's deadline alone."""
+        self._drops.append(deadline)
 
     def sample_power(self, now: int, watts: float) -> None:
-        """Integrate power over time (call at every state change).
+        """Log the power draw at ``now`` (call at every state change).
 
         The integral is a step function: the previous wattage is held
         until ``now``.  Equal timestamps replace the reading (last write
-        at an instant wins); an out-of-order sample (``now`` before the
-        last one) still registers for the peak but never rewinds the
-        integral.  Value-identical samples only extend the open segment,
-        so redundant sampling never perturbs the float accumulation.
+        at an instant wins); an out-of-order sample (``now`` before an
+        earlier one) still registers for the peak but never rewinds the
+        integral.  A segment breaks only where the wattage changes, so
+        redundant samples never perturb the float accumulation, and the
+        ``power.rail_w`` gauge is written at those change points.
         """
-        last = self._last_power_sample
-        if last is not None:
-            if now < last[0]:
-                self._peak_power_w = max(self._peak_power_w, watts)
-                return
-            if watts != last[1]:
-                start, seg_watts = self._segment
-                dt = now - start
-                if dt > 0:
-                    self._energy_j += seg_watts * dt / 1e9
-                    self._power_time_ns += dt
-                self._segment = (now, watts)
-                # Gauge writes happen only on value changes (and the
-                # first sample below), so the fast loop — which skips
-                # value-identical samples — produces the identical gauge
-                # sequence as the reference loop.
-                self._m_power.set(watts)
-        else:
-            self._segment = (now, watts)
-            self._m_power.set(watts)
-        self._peak_power_w = max(self._peak_power_w, watts)
-        self._last_power_sample = (now, watts)
+        self._power_ns.append(now)
+        self._power_w.append(watts)
+
+    @property
+    def unscored(self) -> int:
+        """Queries with an unknown (-1) deadline, completed or dropped."""
+        return sum(deadline < 0 for deadline in self._completions[0::4] + self._drops)
+
+    def _flush(self, now: int) -> None:
+        """Fold the log into the registry, then emit the due snapshot."""
+        self._fold()
+        self.registry.flush(now)
+
+    def _fold(self) -> None:
+        """Convert the log entries not folded yet to arrays, once, and
+        fold them into the registry when it is on."""
+        done_at, drops_at, power_at = self._folded
+        done, drops, times, watts = part = (
+            _int64(self._completions[done_at:]).reshape(-1, 4),
+            _int64(self._drops[drops_at:]),
+            _int64(self._power_ns[power_at:]),
+            np.array(self._power_w[power_at:], dtype=np.float64),
+        )
+        self._parts.append(part)
+        self._folded = (len(self._completions), len(self._drops), len(self._power_ns))
+        if not self.registry.enabled:
+            return
+        responded, late, dropped, unscored, t2t_ns, batches = _tally(done, drops)
+        self._m_responded.inc(responded)
+        self._m_late.inc(late)
+        self._m_dropped.inc(dropped)
+        self._m_unscored.inc(unscored)
+        self._m_deadline_miss.inc(late + dropped)
+        self._m_t2t.record_many(t2t_ns)
+        self._m_batch.record_many(batches)
+        if len(times):
+            __, accepted, change = _accepted(
+                times, watts, self._folded_ns, self._folded_w
+            )
+            if change.any():
+                # The largest write, then the last: the gauge keeps both.
+                self._m_power.set(float(accepted[change].max()))
+                self._m_power.set(float(accepted[change][-1]))
+            if len(accepted):
+                self._folded_w = float(accepted[-1])
+            self._folded_ns = max(self._folded_ns, int(times.max()))
 
     def result(self) -> RunResult:
         """Finalise into a :class:`RunResult`.
@@ -204,40 +207,80 @@ class MetricsCollector:
         fake 0 µs — an all-miss run must not masquerade as a 0-latency
         run.
         """
-        if self._latencies_us:
-            lat = np.asarray(self._latencies_us)
+        self._fold()
+        done, drops, times, watts = (np.concatenate(log) for log in zip(*self._parts))
+        responded, completed_late, dropped, __, t2t_ns, batches = _tally(done, drops)
+        if responded:
+            lat = t2t_ns / 1_000.0
             mean_us = float(lat.mean())
             p50_us = float(np.percentile(lat, 50))
             p99_us = float(np.percentile(lat, 99))
         else:
             mean_us = p50_us = p99_us = float("nan")
-        scored = self.responded + self.completed_late + self.dropped
-        energy_j = self._energy_j
-        power_time_ns = self._power_time_ns
-        if self._segment is not None and self._last_power_sample is not None:
-            # Close the trailing constant-wattage segment (non-mutating:
-            # result() stays safe to call repeatedly).
-            start, seg_watts = self._segment
-            dt = self._last_power_sample[0] - start
-            if dt > 0:
-                energy_j += seg_watts * dt / 1e9
-                power_time_ns += dt
+        energy_j = peak_power_w = 0.0
+        power_time_ns = 0
+        if len(times):
+            at, accepted, change = _accepted(times, watts, _BEFORE_ANY_NS, _NAN)
+            # Segment k holds its wattage from its change point to the next
+            # one, the last to the last accepted sample.  Its joules add up
+            # left to right (cumsum, not a pairwise sum), like a running sum.
+            starts = at[change]
+            held = np.diff(starts, append=at[-1])
+            joules = accepted[change][held > 0] * held[held > 0] / 1e9
+            energy_j = float(np.cumsum(joules)[-1]) if len(joules) else 0.0
+            power_time_ns = int(at[-1] - starts[0])
+            peak_power_w = max(peak_power_w, float(watts.max()))
         duration_s = power_time_ns / 1e9
         return RunResult(
             system=self.system,
             model=self.model,
-            n_queries=scored,
-            responded=self.responded,
-            completed_late=self.completed_late,
-            dropped=self.dropped,
+            n_queries=responded + completed_late + dropped,
+            responded=responded,
+            completed_late=completed_late,
+            dropped=dropped,
             mean_latency_us=mean_us,
             p50_latency_us=p50_us,
             p99_latency_us=p99_us,
-            mean_batch_size=(
-                float(np.mean(self._batch_sizes)) if self._batch_sizes else 0.0
-            ),
+            mean_batch_size=float(np.mean(batches)) if len(batches) else 0.0,
             mean_power_w=(energy_j / duration_s if duration_s > 0 else 0.0),
-            peak_power_w=self._peak_power_w,
+            peak_power_w=peak_power_w,
             energy_j=energy_j,
             duration_s=duration_s,
         )
+
+
+def _int64(values: list[int]) -> np.ndarray:
+    return np.fromiter(values, dtype=np.int64, count=len(values))
+
+
+def _tally(
+    done: np.ndarray, drops: np.ndarray
+) -> tuple[int, int, int, int, np.ndarray, np.ndarray]:
+    """Outcome counts of completion rows (deadline, arrival, order_ns,
+    batch) and drop deadlines — (responded, late, dropped, unscored) —
+    then the in-time tick-to-trade times (ns) and the scored batch
+    sizes, both in completion order."""
+    deadline, arrival, order, batch = done.T
+    scored = deadline >= 0
+    in_time = scored & (order <= deadline)
+    t2t_ns = order[in_time] - arrival[in_time]
+    batches = batch[scored]
+    dropped = int(np.count_nonzero(drops >= 0))
+    unscored = len(deadline) - len(batches) + len(drops) - dropped
+    return len(t2t_ns), len(batches) - len(t2t_ns), dropped, unscored, t2t_ns, batches
+
+
+def _accepted(
+    times: np.ndarray, watts: np.ndarray, after_ns: int, last_w: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power samples the integral accepts, and where they change.
+
+    A sample is accepted unless an earlier one (or ``after_ns``) is
+    later than it.  Returns the accepted times and wattages, and the
+    mask of accepted samples whose wattage differs from the accepted
+    sample before (``last_w`` before the first; NaN differs from all).
+    """
+    keep = times >= np.maximum(np.maximum.accumulate(times), after_ns)
+    accepted = watts[keep]
+    change = accepted != np.concatenate(([last_w], accepted[:-1]))
+    return times[keep], accepted, change

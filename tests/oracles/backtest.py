@@ -10,8 +10,10 @@ golden model of ``Backtester._run_lighttrader_fast``; for a fixed
 the golden model of ``Backtester._run_fixed_system_fast``.  Both run on
 :class:`ReferenceQueue`: the functional :class:`OffloadEngine` queue plus
 the FIFO stale, evict and requeue policy that the shipping pumps run on
-``PendingIndexStore``.  The loop-parity tests hold the shipping runs
-byte-identical to these.
+``PendingIndexStore``, and both score into the per-event
+:class:`~tests.oracles.metrics.ReferenceMetricsCollector` (the shipping
+runs log outcomes and fold them at the end).  The loop-parity tests hold
+the shipping runs byte-identical to these.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.sim.backtest import (
 )
 from repro.sim.events import EventKind, EventQueue
 from repro.telemetry import completed_query_trace
+from tests.oracles.metrics import ReferenceMetricsCollector
 
 
 class ReferenceQueue(OffloadEngine):
@@ -148,7 +151,10 @@ class ReferenceQueue(OffloadEngine):
 
 
 class ReferenceBacktester(Backtester):
-    """:class:`Backtester` whose every run takes a heap pump."""
+    """:class:`Backtester` whose every run takes a heap pump and scores
+    every outcome as it happens."""
+
+    collector = ReferenceMetricsCollector
 
     def _pump(self, queue: EventQueue, state: _Pending) -> None:
         state.offload = ReferenceQueue(self.config.max_pending)
@@ -439,7 +445,6 @@ class ReferenceBacktester(Backtester):
         spans_on = telemetry is not None and telemetry.trace_queries
         light_on = telemetry is not None and telemetry.light
         busy_until = [0] * config.n_accelerators
-        in_flight: dict[int, Query] = {}
         post_ns = self.profile.stages.post_inference_ns
         t_total = self.profile.t_total_ns(config.model, None, 1)
         trans_ns = self.profile.t_trans_ns(1)
@@ -455,40 +460,34 @@ class ReferenceBacktester(Backtester):
                 query = batch[0]
                 query.issue_time = now
                 busy_until[server] = now + t_total
-                in_flight[server] = query
-                queue.push(busy_until[server], EventKind.COMPLETION, server)
+                # The query rides in its completion event: a server whose
+                # completion at ``now`` has not run yet may be re-issued
+                # at ``now`` without losing the query it carried.
+                queue.push(busy_until[server], EventKind.COMPLETION, (server, query))
 
         while len(queue):
             now, kind, payload = queue.pop()
             if kind is EventKind.ARRIVAL:
                 self._ingest(state, payload, now)
             elif kind is EventKind.COMPLETION:
-                if busy_until[payload] > now:
-                    # Stale event: a scheduling pass at this same instant
-                    # re-issued the server before its completion ran, so
-                    # the query it carried is overwritten and never scored.
-                    pass
-                else:
-                    query = in_flight.pop(payload)
-                    query.completion_time = now + post_ns
-                    state.metrics.record_completion(
-                        query, query.completion_time, 1
+                server, query = payload
+                query.completion_time = now + post_ns
+                state.metrics.record_completion(query, query.completion_time, 1)
+                if spans_on:
+                    telemetry.record_query(
+                        completed_query_trace(
+                            query,
+                            self.profile.stages,
+                            inference_done_ns=now,
+                            t_trans_ns=trans_ns,
+                            batch_size=1,
+                            accel_id=server,
+                        )
                     )
-                    if spans_on:
-                        telemetry.record_query(
-                            completed_query_trace(
-                                query,
-                                self.profile.stages,
-                                inference_done_ns=now,
-                                t_trans_ns=trans_ns,
-                                batch_size=1,
-                                accel_id=payload,
-                            )
-                        )
-                    elif light_on:
-                        telemetry.record_completion_light(
-                            query.deadline, query.arrival, query.completion_time
-                        )
+                elif light_on:
+                    telemetry.record_completion_light(
+                        query.deadline, query.arrival, query.completion_time
+                    )
             try_schedule(now)
             state.metrics.sample_power(now, self.profile.system_power_w)
             if telemetry is not None:

@@ -178,7 +178,13 @@ class TestCachedPowerState:
         record = device.current
         busy = record is not None and not device.is_idle(now)
         if op == "issue":
-            if not device.healthy or device.ready_time(now) > now:
+            # A batch completing at ``now`` holds the device until its
+            # finish() runs; Accelerator.issue refuses to overwrite it.
+            if (
+                not device.healthy
+                or device.current is not None
+                or device.ready_time(now) > now
+            ):
                 return None
             device.issue(
                 now,

@@ -30,7 +30,7 @@ from repro.core.scheduler import WorkloadScheduler
 from repro.faults.plan import seeded_plan
 from repro.metrics import IMPL_PREFIX, MetricRegistry
 from repro.sim.backtest import Backtester, SimConfig
-from repro.sim.workload import Regime, TrafficSpec, synthetic_workload
+from repro.sim.workload import QueryWorkload, Regime, TrafficSpec, synthetic_workload
 from repro.telemetry import Telemetry
 from tests.oracles.backtest import ReferenceBacktester
 
@@ -132,6 +132,30 @@ class TestSchemePresetMatrix:
             dvfs_scheduling=True,
         )
         _assert_parity(_workload("burst"), lighttrader_profile(), config)
+
+
+class TestSameInstantCompletions:
+    """Two devices issued at one instant finish at one instant.  The
+    first completion's scheduling pass must not re-issue the second
+    device before its own completion has run: that would overwrite the
+    batch in flight, and its queries would never be scored."""
+
+    ARRIVALS = np.array([1_000_000, 1_000_000, 1_000_100, 1_000_200], dtype=np.int64)
+    TIES = QueryWorkload(ARRIVALS, ARRIVALS + 50_000_000, name="ties")
+
+    @pytest.mark.parametrize("scheme", sorted(_SCHEME_FLAGS))
+    def test_lighttrader_scores_every_query(self, scheme):
+        ws, ds = _SCHEME_FLAGS[scheme]
+        config = SimConfig(
+            workload_scheduling=ws, dvfs_scheduling=ds, n_accelerators=2
+        )
+        result = _assert_parity(self.TIES, lighttrader_profile(), config)
+        assert result.n_queries == self.TIES.scored_count
+
+    def test_fixed_profiles_score_every_query(self):
+        for profile in (gpu_profile(), fpga_profile()):
+            result = _assert_parity(self.TIES, profile, SimConfig(n_accelerators=2))
+            assert result.n_queries == self.TIES.scored_count
 
 
 class TestPressureAndFaults:

@@ -76,7 +76,7 @@ class TestOffloadQueueProperties:
     @given(
         st.integers(0, 2**32 - 1),
         # A shallow bound that overflows often, and one that lets the
-        # queue grow past drop_stale's vectorized threshold of 32.
+        # queue grow deep.
         st.sampled_from([8, 40]),
         st.lists(
             st.tuples(

@@ -19,8 +19,8 @@ from repro.core.scheduler import WorkloadScheduler
 from repro.pipeline.offload import PendingIndexStore, Query
 
 # Filler rows that never go stale, queued behind each case's own rows:
-# none gives a shallow queue (drop_stale's scalar scan), 40 a queue
-# deeper than 32 (its vectorized pass).
+# none gives a queue of the case's rows alone, 40 a deeper queue whose
+# deadline heap holds the filler above the case's rows.
 PADDINGS = (0, 40)
 _FAR = 10**15
 
@@ -67,7 +67,7 @@ class TestOffloadDropStale:
 
     def test_requeue_front_restores_scan_bound(self):
         # A re-issued query with an earlier deadline than anything pending
-        # must lower the stale-scan bound, or drop_stale would skip it.
+        # must be due for drop_stale again, or the stale scan would skip it.
         for padding in PADDINGS:
             store = _store([600, 1_000], padding)
             _admit(store, [0])
