@@ -5,7 +5,8 @@ busy until a completion time, runs at a DVFS operating point (changing
 the point costs a PMIC/PLL relock delay — the "power switching delay"
 the paper warns makes frequent DVFS hazardous), and reports its
 instantaneous power draw.  The :class:`AcceleratorCluster` aggregates N
-devices behind the shared card power budget.
+devices behind the shared card power budget, and its devices share one
+:class:`StateEpoch` that every scheduling-visible mutation bumps.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ from repro.units import us_to_ns
 
 # PMIC reconfiguration + PLL relock time for a DVFS transition.
 DVFS_SWITCH_NS = us_to_ns(4.0)
+
+
+class StateEpoch:
+    """A counter bumped by every scheduling-visible device mutation."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
 
 
 @dataclass
@@ -36,7 +46,12 @@ class IssueRecord:
 
 
 class Accelerator:
-    """Timing/power state machine for one AI accelerator."""
+    """Timing/power state machine for one AI accelerator.
+
+    Every mutation that can change scheduling-visible state (point, busy
+    window, health, cap) bumps ``epoch``: the cluster's shared
+    :class:`StateEpoch`, or a private one for a standalone device.
+    """
 
     def __init__(
         self,
@@ -44,6 +59,7 @@ class Accelerator:
         table: DVFSTable,
         power_model: PowerModel,
         initial_point: OperatingPoint | None = None,
+        epoch: StateEpoch | None = None,
     ) -> None:
         self.accel_id = accel_id
         self.table = table
@@ -70,12 +86,7 @@ class Accelerator:
         # on_transition telemetry hook is bound.
         self.transitions = 0
         self.cap_hz: float | None = None
-        # Monotone state epoch: bumped on every mutation that can change
-        # scheduling-visible state (point, busy window, health, cap).
-        # The fast simulator loop sums device versions to detect whether
-        # anything changed since its last power sample / Algorithm-2
-        # redistribution pass, instead of re-deriving both per event.
-        self.state_version = 0
+        self.epoch = epoch if epoch is not None else StateEpoch()
         # Telemetry hook: called as (now, accel_id, old_point, new_point,
         # reason) on every PMIC transition.  None = uninstrumented.
         self.on_transition = None
@@ -117,7 +128,7 @@ class Accelerator:
             self.on_transition(now, self.accel_id, self.point, point, reason)
         self.point = point
         self.available_at = max(self.available_at, now + DVFS_SWITCH_NS)
-        self.state_version += 1
+        self.epoch.value += 1
         return self.available_at
 
     # -- health (fault injection) ----------------------------------------------
@@ -138,7 +149,7 @@ class Accelerator:
         self.current = None
         self.busy_until = now
         self.available_at = now
-        self.state_version += 1
+        self.epoch.value += 1
         return record
 
     def recover(self, now: int, point: OperatingPoint | None = None) -> None:
@@ -162,7 +173,7 @@ class Accelerator:
         self.point = target
         self.busy_until = now
         self.available_at = max(self.available_at, now + DVFS_SWITCH_NS)
-        self.state_version += 1
+        self.epoch.value += 1
 
     def throttle(self, cap_hz: float) -> None:
         """Impose a thermal frequency cap (enforced on future programming)."""
@@ -171,12 +182,12 @@ class Accelerator:
                 f"accel {self.accel_id}: thermal cap below the slowest DVFS point"
             )
         self.cap_hz = cap_hz
-        self.state_version += 1
+        self.epoch.value += 1
 
     def release_throttle(self) -> None:
         """Lift the thermal cap (schedulers repoint at the next issue)."""
         self.cap_hz = None
-        self.state_version += 1
+        self.epoch.value += 1
 
     def issue(
         self,
@@ -214,7 +225,7 @@ class Accelerator:
         )
         self.busy_until = record.completion_time
         self.current = record
-        self.state_version += 1
+        self.epoch.value += 1
         return record
 
     def rescale_inflight(
@@ -251,7 +262,7 @@ class Accelerator:
         record.point = point
         record.power_w = power_w
         record.completion_time = self.busy_until = now + switch + new_remaining_ns
-        self.state_version += 1
+        self.epoch.value += 1
         return record
 
     def finish(self, now: int) -> IssueRecord:
@@ -266,7 +277,7 @@ class Accelerator:
         record = self.current
         self.current = None
         self.completed += 1
-        self.state_version += 1
+        self.epoch.value += 1
         return record
 
     def power_now(self, now: int) -> float:
@@ -301,7 +312,11 @@ def fastest_capped(table: DVFSTable, cap_hz: float) -> OperatingPoint:
 
 @dataclass
 class AcceleratorCluster:
-    """N accelerators behind one shared accelerator power budget."""
+    """N accelerators behind one shared accelerator power budget.
+
+    The devices share ``epoch``, so its value moves exactly when some
+    device's scheduling-visible state does.
+    """
 
     n_accelerators: int
     table: DVFSTable
@@ -309,6 +324,7 @@ class AcceleratorCluster:
     budget_w: float
     config: AcceleratorConfig = DEFAULT_CONFIG
     devices: list[Accelerator] = field(init=False)
+    epoch: StateEpoch = field(init=False, default_factory=StateEpoch)
 
     def __post_init__(self) -> None:
         if self.n_accelerators <= 0:
@@ -316,7 +332,7 @@ class AcceleratorCluster:
         if self.budget_w <= 0:
             raise AcceleratorError("power budget must be positive")
         self.devices = [
-            Accelerator(i, self.table, self.power_model)
+            Accelerator(i, self.table, self.power_model, epoch=self.epoch)
             for i in range(self.n_accelerators)
         ]
 

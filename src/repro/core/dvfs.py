@@ -32,6 +32,9 @@ if TYPE_CHECKING:
 # slowing the clock; the rest stays as safety margin.
 SAVE_SLACK_FRACTION = 0.6
 
+# One rung of a candidate ladder: a faster point and the batch's draw there.
+_Rung = tuple[OperatingPoint, float]
+
 
 @dataclass(frozen=True)
 class DVFSScheduler:
@@ -49,20 +52,17 @@ class DVFSScheduler:
     _boost_floor_ns: dict[float, float] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # Faster table points per operating frequency, so the candidate scan
-    # starts where the table stops being slower than the device.
-    _faster: "dict[float, tuple[OperatingPoint, ...]]" = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # Exact power_w memo keyed (freq_hz, activity, batch): power_w is a
-    # pure function, so cached floats are bit-identical to recomputation.
-    _power_cache: dict[tuple[float, float, int], float] = field(
+    # Candidate ladders keyed (freq_hz, activity, batch): the table points
+    # faster than freq_hz, slowest first, each with the batch's draw
+    # there.  power_w is pure, so the cached floats are the ones a fresh
+    # call returns.
+    _ladders: "dict[tuple[float, float, int], tuple[_Rung, ...]]" = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     # Observability: lifetime counts folded into the run's MetricRegistry.
     # reclaims / boost_transitions are parity-held (both event pumps
     # drive them identically); redistribute_calls is an ``impl.``
-    # diagnostic (the fast pump gates redistribution by epoch).
+    # diagnostic (the fast pump skips calls that cannot act).
     stats: dict[str, int] = field(
         compare=False,
         repr=False,
@@ -76,7 +76,6 @@ class DVFSScheduler:
     def __post_init__(self) -> None:
         fmax = max(point.freq_hz for point in self.table)
         floors = {}
-        faster = {}
         for point in self.table:
             f = point.freq_hz
             if f >= fmax:
@@ -86,9 +85,7 @@ class DVFSScheduler:
                 # remaining ≤ (switch − 0.5)/(1 − f/fmax); the extra −0.5
                 # absorbs float rounding in the comparison itself.
                 floors[f] = (DVFS_SWITCH_NS - 1.0) / (1.0 - f / fmax)
-            faster[f] = tuple(p for p in self.table if p.freq_hz > f)
         object.__setattr__(self, "_boost_floor_ns", floors)
-        object.__setattr__(self, "_faster", faster)
 
     # -- phase 1: reclaim -------------------------------------------------------
 
@@ -151,102 +148,85 @@ class DVFSScheduler:
         ``reserve_w`` holds back headroom for imminent issues (one static
         share when idle devices exist), so boosting in-flight batches
         never starves the next batch of power.
+
+        Each round commits the first best marginal-PPW transition over
+        the busy devices not yet moved at this call.  The scan list is
+        built once, and a committed device leaves it: a commit changes no
+        other device, so the rest of the list stays what a rebuild gives.
         """
         self.stats["redistribute_calls"] += 1
-        transitions = 0
-        adjusted: set[int] = set()
         floors = self._boost_floor_ns
-        while True:
-            # Filter on the O(1) boost floor before paying for a headroom
-            # sum or a table scan: a device whose remaining time is under
-            # the floor cannot yield a candidate, so skipping it never
-            # changes the chosen transition.
-            scan = [
-                device
-                for device in cluster.devices
-                if device.healthy
-                and device.busy_until > now  # busy_devices(), inlined
-                and device.accel_id not in adjusted  # one transition per event
-                and device.busy_until - now > floors.get(device.point.freq_hz, 0.0)
-            ]
-            if not scan:
-                self.stats["boost_transitions"] += transitions
-                if transitions and self.log is not None:
-                    self.log.record_redistribute(
-                        now, transitions, cluster.headroom(now)
-                    )
-                return transitions
+        # Filter on the O(1) boost floor before paying for a headroom sum
+        # or a ladder scan: a device whose remaining time is under the
+        # floor cannot yield a candidate.
+        scan = [
+            device
+            for device in cluster.devices
+            if device.healthy
+            and device.busy_until > now  # busy_devices(), inlined
+            and device.busy_until - now > floors.get(device.point.freq_hz, 0.0)
+        ]
+        transitions = 0
+        while scan:
             headroom = cluster.headroom(now) - reserve_w
             best_gain = -float("inf")
-            best: tuple[Accelerator, OperatingPoint, int, float] | None = None
+            best = None
             for device in scan:
                 candidate = self._speed_up_candidate(device, now, headroom)
-                if candidate is None:
-                    continue
-                point, remaining, power, gain = candidate
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (device, point, remaining, power)
+                if candidate is not None and candidate[0] > best_gain:
+                    best_gain = candidate[0]
+                    best = (device, candidate)
             if best is None:
-                self.stats["boost_transitions"] += transitions
-                if transitions and self.log is not None:
-                    self.log.record_redistribute(
-                        now, transitions, cluster.headroom(now)
-                    )
-                return transitions
-            device, point, remaining, power = best
+                break
+            device, (__, point, remaining, power) = best
             device.rescale_inflight(now, point, remaining, power)
-            adjusted.add(device.accel_id)
+            scan.remove(device)  # one transition per device per call
             transitions += 1
+        self.stats["boost_transitions"] += transitions
+        if transitions and self.log is not None:
+            self.log.record_redistribute(now, transitions, cluster.headroom(now))
+        return transitions
 
     def _speed_up_candidate(self, device: Accelerator, now: int, headroom: float):
-        """Best single transition to a faster point for ``device``.
-
-        Returns (point, new_remaining, new_power, ppw_inc) or None.  The
-        marginal PPW is usually negative (energy per op rises with V²);
-        Algorithm 2 still commits — its goal is to spend the whole budget
-        on speed — and the ranking picks the least costly candidate.
+        """Best single transition to a faster point for a busy ``device``:
+        (ppw_inc, point, new_remaining, new_power), the first maximum, or
+        None.  The marginal PPW is usually negative (energy per op rises
+        with V²); Algorithm 2 still commits — its goal is to spend the
+        whole budget on speed — and the ranking picks the least costly
+        candidate.
         """
         record = device.current
-        if record is None:
-            return None
         remaining = device.busy_until - now
-        if remaining <= 0:
-            return None
-        best = None
         freq = device.point.freq_hz
-        faster = self._faster.get(freq)
-        if faster is None:  # off-table point: fall back to a full filter
-            faster = tuple(p for p in self.table if p.freq_hz > freq)
-        cache = self._power_cache
         activity = record.activity
         batch = record.batch_size
+        key = (freq, activity, batch)
+        ladder = self._ladders.get(key)
+        if ladder is None:
+            power_w = device.power_model.power_w
+            ladder = self._ladders[key] = tuple(
+                (point, power_w(point, activity, batch))
+                for point in self.table
+                if point.freq_hz > freq
+            )
+        cap = device.cap_hz
         old_power = record.power_w
         old_total = record.completion_time - record.issue_time
+        ran_ns = old_total - remaining + DVFS_SWITCH_NS  # run so far, plus the switch
         old_ppw = None
-        for point in faster:
-            if device.cap_hz is not None and point.freq_hz > device.cap_hz + 1e-3:
+        best = None
+        for point, new_power in ladder:
+            if cap is not None and point.freq_hz > cap + 1e-3:
                 break  # thermally throttled: nothing faster is programmable
             new_remaining = round(remaining * freq / point.freq_hz)
             if DVFS_SWITCH_NS + new_remaining >= remaining:
                 continue  # the switch delay would eat the gain
-            key = (point.freq_hz, activity, batch)
-            new_power = cache.get(key)
-            if new_power is None:
-                new_power = cache[key] = device.power_model.power_w(
-                    point, activity, batch
-                )
             if new_power - old_power > headroom:
-                # power_w rises with frequency (voltage does), so every
-                # faster point is over the headroom too.
-                break
-            new_total = old_total - remaining + DVFS_SWITCH_NS + new_remaining
-            # Algorithm 2's ppw_inc: the PPW gain of this move, with
-            # the old term computed once per device.
-            new_ppw = ppw(batch, new_total, new_power)
+                break  # every faster point draws at least as much
             if old_ppw is None:
                 old_ppw = ppw(batch, old_total, old_power)
-            gain = new_ppw - old_ppw
-            if best is None or gain > best[3]:
-                best = (point, new_remaining, new_power, gain)
+            # Algorithm 2's ppw_inc: the PPW gain of this move.
+            gain = ppw(batch, ran_ns + new_remaining, new_power) - old_ppw
+            if best is None or gain > best[0]:
+                best = (gain, point, new_remaining, new_power)
         return best

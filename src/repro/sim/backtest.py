@@ -25,8 +25,10 @@ scheduling decisions in one call to the pending queue,
 :class:`~repro.pipeline.offload.PendingIndexStore`, whose deadline heap
 drops stale queries without rescanning the queue.  The LightTrader
 pump also memoizes Algorithm-1 decisions, gates Algorithm-2
-redistribution and power sampling on a cluster state epoch, and
-materialises :class:`Query` objects lazily.  The golden-model heap
+redistribution and power sampling on the cluster's one state epoch, and
+materialises :class:`Query` objects lazily.  Its completion events name
+their batch (the :class:`~repro.accelerator.device.IssueRecord`), so an
+event whose batch has finished dies at pop.  The golden-model heap
 pumps, where every arrival is a heap event and power is sampled after
 every event, live in ``tests/oracles/``; the loop-parity tests hold both
 pumps byte-identical to them — same :class:`RunResult`, same decision
@@ -186,9 +188,12 @@ def _make_fault_handler(
     static_point: OperatingPoint,
     queue: EventQueue,
     surrender_batch,
+    push_completion,
 ):
     """Build the LightTrader fault-event policy (shared with the reference
-    pump in ``tests/oracles/backtest.py``)."""
+    pump in ``tests/oracles/backtest.py``).  ``push_completion(device)``
+    schedules the completion of the batch ``device`` runs, at its
+    ``busy_until``."""
 
     def handle_fault(now: int, event: FaultEvent) -> None:
         device = cluster.devices[event.accel_id] if event.accel_id >= 0 else None
@@ -265,9 +270,7 @@ def _make_fault_handler(
                         remaining * device.point.freq_hz / target.freq_hz
                     )
                     device.rescale_inflight(now, target, stretched)
-                    queue.push(
-                        device.busy_until, EventKind.COMPLETION, device.accel_id
-                    )
+                    push_completion(device)
             if event.duration_ns > 0:
                 queue.push(
                     now + event.duration_ns,
@@ -298,7 +301,7 @@ def _make_fault_handler(
     return handle_fault
 
 
-def _fold_registry(registry: MetricRegistry, state: _Pending) -> None:
+def _fold_registry(registry: MetricRegistry, state: _Pending, pushed: int) -> None:
     """Fold end-of-run counters from the engines into the registry.
 
     Everything here is parity-held state (the loop-parity tests hold the
@@ -308,6 +311,7 @@ def _fold_registry(registry: MetricRegistry, state: _Pending) -> None:
     """
     if not registry.enabled:
         return
+    registry.counter("impl.events.pushed").inc(pushed)
     offload = state.offload
     registry.counter("offload.admitted").inc(offload.admitted)
     registry.counter("offload.dropped_overflow").inc(offload.dropped_overflow)
@@ -458,7 +462,7 @@ class Backtester:
             query.drop_reason = "end_of_run"
             self._record_drop(state, query, query.enqueue_time or query.arrival)
         self.last_metrics = metrics
-        _fold_registry(registry, state)
+        _fold_registry(registry, state, queue.pushed)
         self.last_run_metrics = registry
         if owns_telemetry:
             telemetry.close()
@@ -512,16 +516,22 @@ class Backtester:
         and change-driven power sampling.
 
         Parity argument, in brief: every device-state change flows
-        through an :class:`Accelerator` method that bumps
-        ``state_version``, and every busy/ready boundary crossing has a
-        heap event at exactly that timestamp, so (a) between consecutive
-        heap events with no healthy idle device, arrivals can neither
-        issue nor change cluster power — they are pure queue admissions,
-        taken in one ``PendingIndexStore.admit_run`` call; (b) when
-        the summed epoch is unchanged, cluster power at the previous
-        sample is still exact, and Algorithm-2 redistribution (a no-op
-        then) stays a no-op.  The loop-parity tests enforce all of this
-        byte-for-byte against the reference heap pump in
+        through an :class:`Accelerator` method that bumps the cluster's
+        shared epoch, and every busy/ready boundary crossing has a heap
+        event at exactly that timestamp, so (a) between consecutive heap
+        events with no healthy idle device, arrivals can neither issue
+        nor change cluster power — they are pure queue admissions, taken
+        in one ``PendingIndexStore.admit_run`` call; (b) when the epoch
+        is unchanged, cluster power at the previous sample is still
+        exact, and Algorithm-2 redistribution (a no-op then) stays a
+        no-op; with no healthy device in flight it is a no-op too, so it
+        is not called.  (c) A completion event names its batch: it
+        completes that batch or, if a reclaim stretched it, re-pushes
+        itself, and once the batch has finished it is dropped, so it can
+        never complete a later batch of its device.  A second event for
+        the same batch at the same time would pop after the first and do
+        nothing, so it is never pushed.  The loop-parity tests enforce
+        all of this byte-for-byte against the reference heap pump in
         ``tests/oracles/backtest.py``.
         """
         assert isinstance(self.profile, LightTraderProfile)
@@ -642,14 +652,25 @@ class Backtester:
             )
 
         record_drop_index = _make_record_drop_index(state, stages)
-
-        def epoch_of() -> int:
-            total = 0
-            for d in devices:
-                total += d.state_version
-            return total
-
+        epoch = cluster.epoch
         redist_epoch = -1
+
+        # Completion events carry their IssueRecord.  Per device, the
+        # (record, time) of its newest completion event: the same pair
+        # again would only add an event that pops after the first one
+        # and does nothing.
+        event_record: list = [None] * len(devices)
+        event_ns = [0] * len(devices)
+
+        def push_completion(device) -> None:
+            record = device.current
+            at = device.busy_until
+            i = device.accel_id
+            if event_record[i] is record and event_ns[i] == at:
+                return
+            event_record[i] = record
+            event_ns[i] = at
+            queue.push(at, EventKind.COMPLETION, record)
 
         def try_schedule(now: int) -> None:
             nonlocal redist_epoch
@@ -693,7 +714,7 @@ class Backtester:
                         batch = store.pop_indices(decision.batch_size)
                     else:
                         batch = store.pop_batch(decision.batch_size)
-                    record = device.issue(
+                    device.issue(
                         now,
                         decision.t_total_ns,
                         len(batch),
@@ -704,30 +725,30 @@ class Backtester:
                         for query in batch:
                             query.issue_time = now
                     state.in_flight[device.accel_id] = batch
-                    queue.push(
-                        record.completion_time, EventKind.COMPLETION, device.accel_id
-                    )
+                    push_completion(device)
                     break
-            if ds is not None:
-                epoch = epoch_of()
-                if epoch != redist_epoch:
-                    reserve = 0.0
-                    for d in devices:  # any idle device? (no listcomp)
-                        if d.healthy and d.current is None and d.available_at <= now:
-                            reserve = static_power
-                            break
-                    if ds.redistribute(cluster, now, reserve_w=reserve):
-                        for device in cluster.busy_devices(now):
-                            queue.push(
-                                device.busy_until, EventKind.COMPLETION, device.accel_id
-                            )
-                        # Acting is not exhaustive (one transition per
-                        # device per call): the reference re-runs every
-                        # event and may keep boosting, so stay ungated
-                        # until a call comes back a no-op.
-                        redist_epoch = -1
-                    else:
-                        redist_epoch = epoch
+            if ds is not None and epoch.value != redist_epoch:
+                reserve = 0.0
+                in_flight = False
+                for d in devices:  # (no listcomp)
+                    if not d.healthy:
+                        continue
+                    if d.busy_until > now:
+                        in_flight = True
+                    elif d.current is None and d.available_at <= now:
+                        reserve = static_power
+                # With nothing in flight a call would be a no-op: skip it.
+                if in_flight and ds.redistribute(cluster, now, reserve_w=reserve):
+                    for d in devices:
+                        if d.healthy and d.busy_until > now:
+                            push_completion(d)
+                    # Acting is not exhaustive (one transition per
+                    # device per call): the reference re-runs every
+                    # event and may keep boosting, so stay ungated
+                    # until a call comes back a no-op.
+                    redist_epoch = -1
+                else:
+                    redist_epoch = epoch.value
 
         surrender_batch = _make_surrender_batch(
             state, lambda victim, when: self._record_drop(state, victim, when)
@@ -742,6 +763,7 @@ class Backtester:
                 static_point=static_point,
                 queue=queue,
                 surrender_batch=surrender_batch,
+                push_completion=push_completion,
             )
 
         # Sorted arrival stream (replaces per-arrival heap events).  With
@@ -783,12 +805,12 @@ class Backtester:
         def sample(now: int) -> None:
             nonlocal sampled_once, sampled_epoch, sampled_ns, watts, last_event_ns
             last_event_ns = now
-            epoch = epoch_of()
-            if sampled_once and epoch == sampled_epoch:
+            value = epoch.value
+            if sampled_once and value == sampled_epoch:
                 return
             new_watts = cluster.total_power(now)
             if sampled_once:
-                sampled_epoch = epoch
+                sampled_epoch = value
                 if new_watts == watts:
                     # Value-identical: the collector would only extend
                     # its open segment, and the final pin supplies the
@@ -796,7 +818,7 @@ class Backtester:
                     return
             watts = new_watts
             sampled_once = True
-            sampled_epoch = epoch
+            sampled_epoch = value
             sampled_ns = now
             metrics.sample_power(now, watts)
             if telemetry is not None:
@@ -860,7 +882,7 @@ class Backtester:
                         j = bisect_left(arr_t, heap[0][0], a + 1) if heap else n_arr
                         if (
                             j - a > 1
-                            and (ds is None or redist_epoch == epoch_of())
+                            and (ds is None or redist_epoch == epoch.value)
                             and store.can_admit_run(j - a)
                         ):
                             for index, drop_ns in store.admit_run(
@@ -879,11 +901,11 @@ class Backtester:
             else:
                 now, kind, payload = queue.pop()
                 if kind is EventKind.COMPLETION:
-                    device = devices[payload]
-                    if device.current is None:
-                        continue
+                    device = devices[payload.accel_id]
+                    if device.current is not payload:
+                        continue  # its batch has finished
                     if device.busy_until > now:
-                        queue.push(device.busy_until, EventKind.COMPLETION, payload)
+                        push_completion(device)  # stretched since pushed
                         continue
                     device.finish(now)
                     batch = state.in_flight.pop(device.accel_id, [])

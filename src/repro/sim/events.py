@@ -52,6 +52,11 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
+    @property
+    def pushed(self) -> int:
+        """Events pushed so far (the last sequence number handed out)."""
+        return self._seq
+
     def push(self, time: int, kind: EventKind, payload: Any = None) -> None:
         """Schedule an event; scheduling into the past is an error."""
         if time < self._now:

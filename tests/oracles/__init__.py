@@ -9,6 +9,8 @@ suites compare the shipping code against them byte for byte.
   (:class:`~tests.oracles.backtest.ReferenceBacktester`);
 - :mod:`tests.oracles.scheduler` — the line-for-line Algorithm-1 sweep
   (:class:`~tests.oracles.scheduler.ReferenceScheduler`);
+- :mod:`tests.oracles.dvfs` — Algorithm 2 rescanned round by round
+  (:class:`~tests.oracles.dvfs.ReferenceDVFSScheduler`);
 - :mod:`tests.oracles.market` — the per-op market generation loop, the
   agents' per-op actions and the ``rng.choice`` mix sampler;
 - :mod:`tests.oracles.book` and :mod:`tests.oracles.matching` — the

@@ -12,8 +12,12 @@ the golden model of ``Backtester._run_fixed_system_fast``.  Both run on
 the FIFO stale, evict and requeue policy that the shipping pumps run on
 ``PendingIndexStore``, and both score into the per-event
 :class:`~tests.oracles.metrics.ReferenceMetricsCollector` (the shipping
-runs log outcomes and fold them at the end).  The loop-parity tests hold
-the shipping runs byte-identical to these.
+runs log outcomes and fold them at the end).  The LightTrader pump
+redistributes power through :class:`~tests.oracles.dvfs.ReferenceDVFSScheduler`,
+and its completion events carry their batch's ``IssueRecord``: one is
+pushed at every issue, for every busy device after an acting
+redistribution, and after a thermal rescale, with no de-duplication.  The
+loop-parity tests hold the shipping runs byte-identical to these.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from repro import paperdata
 from repro.accelerator.device import AcceleratorCluster, fastest_capped
 from repro.accelerator.power import DVFSTable, OperatingPoint, PowerModel
 from repro.baselines.profiles import LightTraderProfile
-from repro.core.dvfs import DVFSScheduler
 from repro.core.scheduler import WorkloadScheduler
 from repro.faults.injector import DUPLICATE, STALLED
 from repro.pipeline.offload import OffloadEngine, Query
@@ -36,6 +39,7 @@ from repro.sim.backtest import (
 )
 from repro.sim.events import EventKind, EventQueue
 from repro.telemetry import completed_query_trace
+from tests.oracles.dvfs import ReferenceDVFSScheduler
 from tests.oracles.metrics import ReferenceMetricsCollector
 
 
@@ -237,7 +241,7 @@ class ReferenceBacktester(Backtester):
             log=decision_log,
         )
         ds = (
-            DVFSScheduler(profile, dynamic_table, log=decision_log)
+            ReferenceDVFSScheduler(profile, dynamic_table, log=decision_log)
             if config.dvfs_scheduling
             else None
         )
@@ -344,13 +348,16 @@ class ReferenceBacktester(Backtester):
                     for query in batch:
                         query.issue_time = now
                     state.in_flight[device.accel_id] = batch
-                    queue.push(record.completion_time, EventKind.COMPLETION, device.accel_id)
+                    queue.push(record.completion_time, EventKind.COMPLETION, record)
                     break  # this device is now busy; move to the next one
             if ds is not None:
                 reserve = static_power if cluster.idle_devices(now) else 0.0
                 if ds.redistribute(cluster, now, reserve_w=reserve):
                     for device in cluster.busy_devices(now):
-                        queue.push(device.busy_until, EventKind.COMPLETION, device.accel_id)
+                        push_completion(device)
+
+        def push_completion(device) -> None:
+            queue.push(device.busy_until, EventKind.COMPLETION, device.current)
 
         surrender_batch = _make_surrender_batch(
             state, lambda victim, when: self._record_drop(state, victim, when)
@@ -365,6 +372,7 @@ class ReferenceBacktester(Backtester):
                 static_point=static_point,
                 queue=queue,
                 surrender_batch=surrender_batch,
+                push_completion=push_completion,
             )
 
         post_ns = self.profile.stages.post_inference_ns
@@ -382,9 +390,12 @@ class ReferenceBacktester(Backtester):
                 self._ingest(state, payload, now)
                 try_schedule(now)
             elif kind is EventKind.COMPLETION:
-                device = cluster.devices[payload]
-                if device.current is None:
-                    continue  # stale event (batch already finished)
+                # The event names its batch: once that batch has finished
+                # (or been surrendered) the event is dead, even when its
+                # device already runs a later batch.
+                device = cluster.devices[payload.accel_id]
+                if device.current is not payload:
+                    continue
                 if device.busy_until > now:
                     queue.push(device.busy_until, EventKind.COMPLETION, payload)
                     continue  # batch was stretched by the power-save step

@@ -11,7 +11,6 @@ not take a new batch.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,18 +18,7 @@ from repro.baselines.profiles import fpga_profile, gpu_profile, lighttrader_prof
 from repro.faults.plan import seeded_plan
 from repro.metrics import MetricRegistry
 from repro.sim.backtest import Backtester, SimConfig
-from repro.sim.workload import QueryWorkload, Regime, TrafficSpec, synthetic_workload
-
-# Saturating micro-bursts: deep queues, every device busy, many ties.
-BURST = TrafficSpec(
-    calm=Regime("calm", rate_hz=2_000.0, mean_dwell_s=0.05),
-    episodes=(
-        Regime("burst", rate_hz=60_000.0, mean_dwell_s=0.01),
-        Regime("active", rate_hz=12_000.0, mean_dwell_s=0.04),
-    ),
-    episode_weights=(0.5, 0.5),
-)
-DURATION_S = 0.4
+from tests.traffic import DURATION_S, quantised_workload
 
 _SCHEMES = {
     "baseline": (False, False),
@@ -41,16 +29,6 @@ _SCHEMES = {
 _LIGHTTRADER = [
     (n, scheme) for n in (2, 4, 16) for scheme in sorted(_SCHEMES)
 ]
-
-
-def _quantised_workload(seed: int) -> QueryWorkload:
-    workload = synthetic_workload(DURATION_S, spec=BURST, seed=seed)
-    deadlines = workload.deadlines
-    return QueryWorkload(
-        workload.timestamps // 1_000 * 1_000,
-        np.where(deadlines >= 0, deadlines // 1_000 * 1_000, deadlines),
-        name=f"quantised[{seed}]",
-    )
 
 
 def _assert_conserved(workload, profile, config, faults=None) -> None:
@@ -86,19 +64,19 @@ class TestConservation:
             dvfs_scheduling=ds,
             power_condition="limited",
         )
-        _assert_conserved(_quantised_workload(seed), lighttrader_profile(), config)
+        _assert_conserved(quantised_workload(seed), lighttrader_profile(), config)
 
     @pytest.mark.parametrize("profile", [gpu_profile, fpga_profile])
     @seeds
     @few
     def test_fixed_profiles(self, profile, seed):
         config = SimConfig(n_accelerators=2)
-        _assert_conserved(_quantised_workload(seed), profile(), config)
+        _assert_conserved(quantised_workload(seed), profile(), config)
 
     @seeds
     @few
     def test_seeded_fault_plan(self, seed):
-        workload = _quantised_workload(seed)
+        workload = quantised_workload(seed)
         plan = seeded_plan(
             duration_s=DURATION_S,
             n_accelerators=4,

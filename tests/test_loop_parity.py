@@ -33,6 +33,7 @@ from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.workload import QueryWorkload, Regime, TrafficSpec, synthetic_workload
 from repro.telemetry import Telemetry
 from tests.oracles.backtest import ReferenceBacktester
+from tests.traffic import quantised_workload
 
 # Sustained micro-burst traffic: keeps every device saturated so the
 # batched-admission drain and the redistribution tail interact.
@@ -132,6 +133,43 @@ class TestSchemePresetMatrix:
             dvfs_scheduling=True,
         )
         _assert_parity(_workload("burst"), lighttrader_profile(), config)
+
+
+class TestPiledCompletions:
+    """Eight and sixteen devices under Algorithm 2: boosts, reclaims and
+    same-instant completions pile up completion events, and every event
+    of a finished batch must die without completing a later one."""
+
+    @pytest.mark.parametrize("condition", ["sufficient", "limited"])
+    @pytest.mark.parametrize("scheme", ["ds", "ws+ds"])
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("traffic", ["burst", "quantised"])
+    def test_many_devices(self, traffic, n, scheme, condition):
+        ws, ds = _SCHEME_FLAGS[scheme]
+        config = SimConfig(
+            model="translob",
+            n_accelerators=n,
+            workload_scheduling=ws,
+            dvfs_scheduling=ds,
+            power_condition=condition,
+        )
+        if traffic == "burst":
+            workload = _workload("burst")
+        else:
+            workload = quantised_workload(seed=2)
+        result = _assert_parity(workload, lighttrader_profile(), config)
+        assert result.n_queries == workload.scored_count
+
+    def test_completion_events_per_query_ceiling(self):
+        # An event whose batch has finished is dropped at pop.  While such
+        # events re-pushed themselves onto each later batch of their
+        # device, this cell pushed 1,103 events per query; it reads 12.5.
+        workload = quantised_workload(seed=2)
+        config = SimConfig(model="translob", n_accelerators=16, dvfs_scheduling=True)
+        registry = MetricRegistry()
+        Backtester(workload, lighttrader_profile(), config, metrics=registry).run()
+        pushed = registry.snapshot()["counters"]["impl.events.pushed"]
+        assert pushed <= 25 * len(workload)
 
 
 class TestSameInstantCompletions:
