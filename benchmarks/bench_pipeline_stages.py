@@ -29,11 +29,10 @@ from repro.lob import (
     ArrayMatchingEngine,
     Order,
     OrderType,
-    ReplaySession,
     Side,
     TimeInForce,
 )
-from repro.market import MarketConfig, MarketSimulator, cached_session, generate_session
+from repro.market import MarketConfig, MarketSimulator, generate_session
 from repro.metrics import MetricRegistry
 from repro.metrics.manifest import build_manifest, write_manifest
 from repro.nn import build_model
@@ -52,10 +51,7 @@ from tests.oracles.matching import MatchingEngine
 
 @pytest.fixture(scope="module")
 def tape():
-    # The two-level tape cache: repeated benchmark invocations in one
-    # process (and across processes under REPRO_TAPE_CACHE) reuse the
-    # session instead of regenerating it.
-    return cached_session(duration_s=2.0, seed=13)
+    return generate_session(duration_s=2.0, seed=13)
 
 
 def test_bench_matching_engine(benchmark):
@@ -223,9 +219,9 @@ def _lob_per_op_rate(engine_factory, rows) -> float:
 def test_bench_lob_single_book(benchmark, record_table):
     """Reference per-op vs array per-op ops/s on the pinned stream.
 
-    The manifest's ``result`` checksums come from one
-    :class:`ReplaySession` over the same stream, re-asserted against
-    the per-op replay's sequence and book.
+    The manifest's ``result`` checksums come from the matching kernel's
+    integer ops over the same stream, re-asserted against the per-op
+    replay's sequence and book.
     """
     rows = _lob_stream(LOB_STREAM_SEED, LOB_STREAM_OPS)
     rates = {}
@@ -244,15 +240,14 @@ def test_bench_lob_single_book(benchmark, record_table):
     for row in rows:
         _lob_apply(per_op, row)
     replayed = ArrayMatchingEngine()
-    session = ReplaySession(replayed, "ES")
-    owner_id = session.intern("replay")
+    kernel = replayed.kernel("ES")
+    owner_id = kernel.book.owners.intern("replay")
     for kind, side, otype, tif, price, qty, order_id in rows:
         if kind == OP_SUBMIT:
-            session.submit(side, otype, tif, price, qty, order_id, 0, owner_id)
+            kernel.submit(side, otype, tif, price, qty, order_id, 0, owner_id)
         else:
-            session.cancel(order_id)
-    session.commit()
-    assert session.sequence == per_op._sequence
+            kernel.cancel(order_id)
+    assert replayed._sequence == per_op._sequence
     assert replayed.book("ES").bids.top(25) == per_op.book("ES").bids.top(25)
     assert replayed.book("ES").asks.top(25) == per_op.book("ES").asks.top(25)
 
@@ -281,11 +276,11 @@ def test_bench_lob_single_book(benchmark, record_table):
     )
     manifest["result"] = {
         "n_ops": len(rows),
-        "n_fills": session.n_fills,
-        "traded_quantity": session.traded_quantity,
-        "notional": session.notional,
-        "rejected": session.rejected,
-        "final_sequence": session.sequence,
+        "n_fills": kernel.n_fills,
+        "traded_quantity": kernel.traded_quantity,
+        "notional": kernel.notional,
+        "rejected": kernel.rejected,
+        "final_sequence": replayed._sequence,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     write_manifest(RESULTS_DIR / "BENCH_lob_speed.json", manifest)
@@ -294,7 +289,7 @@ def test_bench_lob_single_book(benchmark, record_table):
 def test_bench_market_gen(benchmark, record_table):
     """Market generation: shipping vs reference loop, plus book hot paths.
 
-    Gates (calibrated on the reference container): the batch-kernel
+    Gates (calibrated on the reference container): the shipping
     generation loop must clear 3x the reference loop's ticks/s
     (measured ~3.9x), and the list-backed array book's per-op rate must
     at least match the object-per-order reference (measured ~1.1x; it

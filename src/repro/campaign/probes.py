@@ -5,15 +5,12 @@ protocol (it replays pre-generated arrival/deadline arrays), so two of
 the campaign invariants need their own seeded exercises, run in the same
 worker process and folded into the run's evidence:
 
-- :func:`book_integrity_probe` fingerprints every depth snapshot of a
-  market session with
-  :meth:`~repro.lob.snapshot.DepthSnapshot.checksum` twice — one pass
-  through :func:`~repro.market.tape_cache.cached_session` (so repeated
-  campaign runs reuse the tape instead of regenerating it), one pass
-  always generated fresh (so the determinism check stays real even on a
-  cache hit) — and flags pass-to-pass checksum divergence or a
-  structurally invalid ladder (crossed book, non-positive volume,
-  unsorted side, non-monotone sequence) as a book integrity violation.
+- :func:`book_integrity_probe` generates a market session twice and
+  fingerprints every depth snapshot of each pass with
+  :meth:`~repro.lob.snapshot.DepthSnapshot.checksum`, flagging
+  pass-to-pass checksum divergence or a structurally invalid ladder
+  (crossed book, non-positive volume, unsorted side, non-monotone
+  sequence) as a book integrity violation.
 - :func:`feed_sequence_probe` replays a numbered datagram stream through
   the scenario's feed perturbations (loss / duplication / reordering)
   into a :class:`~repro.pipeline.feed_handler.SequenceTracker` and
@@ -33,7 +30,6 @@ import numpy as np
 from repro.lob.snapshot import DepthSnapshot
 from repro.market.generator import generate_session
 from repro.market.replay import TickTape
-from repro.market.tape_cache import cached_session
 from repro.pipeline.feed_handler import SEQ_DUPLICATE, SequenceTracker
 
 __all__ = [
@@ -95,15 +91,9 @@ def _tape_digest(tape: TickTape) -> tuple[int, int, list[str]]:
 
 
 def book_integrity_probe(seed: int, duration_s: float = 0.4) -> dict:
-    """Two independent generator passes must agree checksum-for-checksum.
-
-    Pass A goes through the tick-tape cache (campaign runs replaying the
-    same scenario seed reuse one tape); pass B always regenerates, so
-    the cross-pass determinism audit never degenerates into comparing a
-    cache entry with itself.
-    """
+    """Two independent generator passes must agree checksum-for-checksum."""
     digest_a, ticks_a, violations = _tape_digest(
-        cached_session(duration_s=duration_s, seed=seed)
+        generate_session(duration_s=duration_s, seed=seed)
     )
     digest_b, ticks_b, _ = _tape_digest(
         generate_session(duration_s=duration_s, seed=seed)

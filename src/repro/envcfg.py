@@ -193,18 +193,6 @@ METRICS_FLUSH_NS = _declare(
     )
 )
 
-TAPE_CACHE = _declare(
-    EnvVar(
-        "REPRO_TAPE_CACHE",
-        "path",
-        None,
-        "Directory for the on-disk level of the tick-tape cache "
-        "(compressed npz, content-keyed by market config + seed + "
-        "duration). Unset disables the disk level; the in-process "
-        "memory level is always on for repro.market.tape_cache users.",
-    )
-)
-
 CAMPAIGN_DIR = _declare(
     EnvVar(
         "REPRO_CAMPAIGN_DIR",

@@ -41,12 +41,10 @@ MANIFEST: frozenset[str] = frozenset(
         "repro/sim/metrics.py::MetricsCollector.record_drop",
         "repro/sim/metrics.py::MetricsCollector.record_drop_ids",
         "repro/sim/metrics.py::MetricsCollector.sample_power",
-        "repro/lob/array_book.py::ArraySide.append_order",
-        "repro/lob/array_book.py::ArraySide.unlink_order",
-        "repro/lob/array_book.py::ArrayBook.drop_slot",
-        "repro/lob/array_matching.py::ReplaySession.submit",
-        "repro/lob/array_matching.py::ReplaySession.cancel",
-        "repro/lob/array_matching.py::ReplaySession.replace",
-        "repro/lob/array_matching.py::ReplaySession._unlink",
+        "repro/lob/array_book.py::ArrayBook._rest",
+        "repro/lob/array_book.py::ArrayBook._unlink",
+        "repro/lob/array_matching.py::MatchingKernel.submit",
+        "repro/lob/array_matching.py::MatchingKernel.cancel",
+        "repro/lob/array_matching.py::MatchingKernel.replace",
     }
 )

@@ -8,7 +8,7 @@ of parallel columns, JAX-LOB style:
 - an :class:`OrderSlab` — fixed-capacity (doubling) parallel int columns
   ``price/qty/side/owner/entry_time`` plus intrusive ``next/prev`` links
   that thread each price level's FIFO queue through the slab, with a
-  free-list stack for O(1) allocate/release;
+  free-list stack of slots;
 - two :class:`ArraySide` structures — sorted price-level columns with
   incrementally maintained aggregate volume, head/tail slot indices and
   per-level order counts, kept packed so best-price lookups, crossing
@@ -18,15 +18,16 @@ The columns are Python ``list``s of ints rather than numpy arrays: every
 per-operation access is a handful of scalar reads and one ``bisect``,
 and boxing those through numpy scalars made the per-op path slower than
 the object-per-order reference (the "numpy scalar tax" ROADMAP.md calls
-out).  Plain lists keep the same packed struct-of-arrays layout — and
-the batch kernel's checkout/commit becomes cheap list copies instead of
-``tolist``/``asarray`` round-trips.
+out).
 
 The book exposes the reference book's read surface
 (``best_bid``/``best_ask``/``mid_price``/``spread``/``is_crossed``/
 ``__contains__``/``top``), so the gateway and the parity tests read
-either book the same way.  All trading semantics live in
-:class:`repro.lob.array_matching.ArrayMatchingEngine`.
+either book the same way.  It owns the two structural writes — rest a
+row at the back of its level (:meth:`ArrayBook._rest`) and unlink a row
+from its level (:meth:`ArrayBook._unlink`); every trading decision lives
+in :class:`repro.lob.array_matching.MatchingKernel`, which runs in place
+on these columns.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from collections.abc import Iterator
 from typing import NamedTuple
 
 from repro.errors import OrderBookError
-from repro.hotpath import hot_path
 from repro.lob.order import Order, OrderType, Side, TimeInForce
 
 __all__ = ["ArrayBook", "ArraySide", "LevelView", "OrderSlab", "OwnerTable"]
@@ -46,6 +46,10 @@ _NIL = -1  # null slot / level index sentinel
 # Dense-int -> enum lookup tables: indexing a tuple is several times
 # cheaper than calling the enum constructor in the per-op hot path.
 _SIDES = (Side.BID, Side.ASK)
+# Reading ``Side.BID`` off the enum class is a descriptor call on
+# CPython 3.11, several times a global read; the side checks below (two
+# ``top`` calls per generated tick) compare against this constant.
+_BID = Side.BID
 _OTYPES = (OrderType.LIMIT, OrderType.MARKET)
 _TIFS = (TimeInForce.DAY, TimeInForce.IOC, TimeInForce.FOK)
 
@@ -95,8 +99,8 @@ class OrderSlab:
 
     One row per live resting order.  ``nxt``/``prv`` thread the FIFO
     queue of each price level through the slab (time priority = list
-    order); the free list is a plain int stack, so allocation and
-    release are O(1) with no Python object churn.  Every column is a
+    order); the free list is a plain int stack, so taking and returning
+    a slot is O(1) with no Python object churn.  Every column is a
     plain list of ints — scalar reads and writes never box through
     numpy.
     """
@@ -116,7 +120,6 @@ class OrderSlab:
         "prv",
         "_free",
         "in_use",
-        "high_water",
     )
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -135,9 +138,9 @@ class OrderSlab:
         # Free slots, popped from the end (LIFO keeps the slab dense).
         self._free = list(range(self.capacity - 1, -1, -1))
         self.in_use = 0
-        self.high_water = 0
 
     def _grow(self) -> None:
+        """Double the capacity, extending every column in place."""
         old = self.capacity
         new = old * 2
         grow = new - old
@@ -160,23 +163,6 @@ class OrderSlab:
         self._free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
-    @hot_path
-    def alloc(self) -> int:
-        """Pop a free slot index (grows the slab when exhausted)."""
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self.in_use += 1
-        if self.in_use > self.high_water:
-            self.high_water = self.in_use
-        return slot
-
-    @hot_path
-    def release(self, slot: int) -> None:
-        """Return ``slot`` to the free list."""
-        self._free.append(slot)
-        self.in_use -= 1
-
 
 class ArraySide:
     """One side of the array book: packed sorted price-level columns.
@@ -188,11 +174,10 @@ class ArraySide:
     ``bisect`` over the plain int list — no scalar ``searchsorted``.
     """
 
-    __slots__ = ("side", "slab", "prices", "volume", "head", "tail", "count")
+    __slots__ = ("side", "prices", "volume", "head", "tail", "count")
 
-    def __init__(self, side: Side, slab: OrderSlab) -> None:
+    def __init__(self, side: Side) -> None:
         self.side = side
-        self.slab = slab
         self.prices: list[int] = []
         self.volume: list[int] = []
         self.head: list[int] = []
@@ -220,70 +205,12 @@ class ArraySide:
             return idx
         return _NIL
 
-    def get_or_create(self, price: int) -> int:
-        """The packed index of the level at ``price``, inserting it sorted."""
-        prices = self.prices
-        idx = bisect_left(prices, price)
-        if idx < len(prices) and prices[idx] == price:
-            return idx
-        prices.insert(idx, price)
-        self.volume.insert(idx, 0)
-        self.head.insert(idx, _NIL)
-        self.tail.insert(idx, _NIL)
-        self.count.insert(idx, 0)
-        return idx
-
-    def remove_level(self, idx: int) -> None:
-        """Drop the (empty) level at packed index ``idx``."""
-        del self.prices[idx]
-        del self.volume[idx]
-        del self.head[idx]
-        del self.tail[idx]
-        del self.count[idx]
-
-    def best_index(self) -> int:
-        """Packed index of the best level, or -1 when empty."""
-        n = len(self.prices)
-        if n == 0:
-            return _NIL
-        return n - 1 if self.side is Side.BID else 0
-
     def best_price(self) -> int | None:
         """Highest bid / lowest ask, or None when empty."""
         prices = self.prices
         if not prices:
             return None
-        return prices[-1] if self.side is Side.BID else prices[0]
-
-    def append_order(self, idx: int, slot: int) -> None:
-        """Queue slab row ``slot`` at the back of level ``idx`` (FIFO)."""
-        slab = self.slab
-        old_tail = self.tail[idx]
-        slab.prv[slot] = old_tail
-        slab.nxt[slot] = _NIL
-        if old_tail == _NIL:
-            self.head[idx] = slot
-        else:
-            slab.nxt[old_tail] = slot
-        self.tail[idx] = slot
-        self.count[idx] += 1
-        self.volume[idx] += slab.qty[slot]
-
-    def unlink_order(self, idx: int, slot: int) -> None:
-        """Remove slab row ``slot`` from level ``idx``'s FIFO queue."""
-        slab = self.slab
-        prv = slab.prv[slot]
-        nxt = slab.nxt[slot]
-        if prv == _NIL:
-            self.head[idx] = nxt
-        else:
-            slab.nxt[prv] = nxt
-        if nxt == _NIL:
-            self.tail[idx] = prv
-        else:
-            slab.prv[nxt] = prv
-        self.count[idx] -= 1
-        self.volume[idx] -= slab.qty[slot]
+        return prices[-1] if self.side is _BID else prices[0]
 
     def crosses(self, price: int) -> bool:
         """True if an incoming opposite-side limit at ``price`` would
@@ -291,33 +218,9 @@ class ArraySide:
         best = self.best_price()
         if best is None:
             return False
-        if self.side is Side.BID:
+        if self.side is _BID:
             return price <= best
         return price >= best
-
-    def fillable_volume(self, price: int | None, cap: int) -> int:
-        """Total resting volume at prices an opposite-side order limited
-        to ``price`` could cross (None = market order, crosses all),
-        summed over the crossed slice; ``cap`` bounds the answer the way
-        the reference's early exit does (the comparison only ever asks
-        "is it >= remaining")."""
-        prices = self.prices
-        n = len(prices)
-        if n == 0:
-            return 0
-        if price is None:
-            k_lo, k_hi = 0, n
-        elif self.side is Side.BID:
-            # Crossed by asks at or below the incoming limit.
-            k_lo = bisect_left(prices, price)
-            k_hi = n
-        else:
-            k_lo = 0
-            k_hi = bisect_left(prices, price + 1)
-        if k_lo >= k_hi:
-            return 0
-        total = sum(self.volume[k_lo:k_hi])
-        return total if total < cap else cap
 
     def top(self, depth: int) -> list[tuple[int, int]]:
         """Up to ``depth`` (price, volume) pairs, best first, as ints."""
@@ -326,7 +229,7 @@ class ArraySide:
         out: list[tuple[int, int]] = []
         if n == 0:
             return out
-        if self.side is Side.BID:
+        if self.side is _BID:
             lo = n - depth if n > depth else 0
             volume = self.volume
             for k in range(n - 1, lo - 1, -1):
@@ -345,7 +248,7 @@ class ArraySide:
     def iter_best_first(self) -> Iterator["LevelView"]:
         """Iterate :class:`LevelView` triples from best to worst price."""
         n = len(self.prices)
-        indices = range(n - 1, -1, -1) if self.side is Side.BID else range(n)
+        indices = range(n - 1, -1, -1) if self.side is _BID else range(n)
         for idx in indices:
             yield LevelView(self.prices[idx], self.volume[idx], self.count[idx])
 
@@ -353,23 +256,23 @@ class ArraySide:
 class ArrayBook:
     """A full two-sided struct-of-arrays book for one symbol.
 
-    Mirrors the reference ``LimitOrderBook``'s read surface; mutation
-    goes through the slot-level operations the array matching engine
-    drives.
+    Mirrors the reference ``LimitOrderBook``'s read surface; every write
+    goes through :meth:`_rest` and :meth:`_unlink`, which the matching
+    kernel drives.
     """
 
     def __init__(self, symbol: str, capacity: int = 1024) -> None:
         self.symbol = symbol
         self.slab = OrderSlab(capacity)
         self.owners = OwnerTable()
-        self.bids = ArraySide(Side.BID, self.slab)
-        self.asks = ArraySide(Side.ASK, self.slab)
+        self.bids = ArraySide(Side.BID)
+        self.asks = ArraySide(Side.ASK)
         # order_id -> slab slot for O(1) cancel/replace lookup.
         self._id_slot: dict[int, int] = {}
 
     def side(self, side: Side) -> ArraySide:
         """The :class:`ArraySide` for ``side``."""
-        return self.bids if side is Side.BID else self.asks
+        return self.bids if side is _BID else self.asks
 
     def __contains__(self, order_id: int) -> bool:
         return order_id in self._id_slot
@@ -413,64 +316,117 @@ class ArrayBook:
             remaining=slab.qty[slot],
         )
 
-    def insert(self, order: Order) -> int:
-        """Rest ``order`` at the back of its price level; returns the slot."""
+    def insert(self, order: Order) -> None:
+        """Rest ``order`` at the back of its price level, without matching."""
         if order.order_id in self._id_slot:
             raise OrderBookError(
                 f"order {order.order_id} already in book {self.symbol}"
             )
         if order.remaining <= 0:
             raise OrderBookError(f"cannot rest exhausted order {order.order_id}")
+        self._rest(
+            int(order.side),
+            int(order.order_type),
+            int(order.tif),
+            order.price,
+            order.remaining,
+            order.quantity,
+            order.order_id,
+            order.entry_time,
+            self.owners.intern(order.owner),
+        )
+
+    def _rest(
+        self,
+        side: int,
+        otype: int,
+        tif: int,
+        price: int,
+        remaining: int,
+        qty: int,
+        oid: int,
+        timestamp: int,
+        owner_id: int,
+    ) -> None:
+        """Write a slab row and queue it at the back of its level (FIFO)."""
         slab = self.slab
-        slot = slab.alloc()
-        slab.order_id[slot] = order.order_id
-        slab.price[slot] = order.price
-        slab.qty[slot] = order.remaining
-        slab.qty_orig[slot] = order.quantity
-        slab.side[slot] = int(order.side)
-        slab.owner[slot] = self.owners.intern(order.owner)
-        slab.entry_time[slot] = order.entry_time
-        slab.otype[slot] = int(order.order_type)
-        slab.tif[slot] = int(order.tif)
-        side = self.side(order.side)
-        idx = side.get_or_create(order.price)
-        side.append_order(idx, slot)
-        self._id_slot[order.order_id] = slot
-        return slot
+        free = slab._free
+        if not free:
+            slab._grow()
+        slot = free.pop()
+        slab.in_use += 1
+        slab.order_id[slot] = oid
+        slab.price[slot] = price
+        slab.qty[slot] = remaining
+        slab.qty_orig[slot] = qty
+        slab.side[slot] = side
+        slab.owner[slot] = owner_id
+        slab.entry_time[slot] = timestamp
+        slab.otype[slot] = otype
+        slab.tif[slot] = tif
+        slab.nxt[slot] = _NIL
+        book_side = self.bids if side == 0 else self.asks
+        prices = book_side.prices
+        idx = bisect_left(prices, price)
+        if idx < len(prices) and prices[idx] == price:
+            # A live level is never empty, so it always has a tail.
+            tail = book_side.tail[idx]
+            slab.prv[slot] = tail
+            slab.nxt[tail] = slot
+            book_side.tail[idx] = slot
+            book_side.count[idx] += 1
+            book_side.volume[idx] += remaining
+        else:
+            slab.prv[slot] = _NIL
+            prices.insert(idx, price)
+            book_side.volume.insert(idx, remaining)
+            book_side.head.insert(idx, slot)
+            book_side.tail.insert(idx, slot)
+            book_side.count.insert(idx, 1)
+        self._id_slot[oid] = slot
 
-    def drop_slot(self, slot: int) -> None:
-        """Release an already-unlinked slab row (a fully filled maker)."""
-        del self._id_slot[self.slab.order_id[slot]]
-        self.slab.release(slot)
-
-    def remove(self, order_id: int) -> int:
-        """Remove a resting order (cancel); returns its released slot.
-
-        The slot's column values remain readable until the next alloc,
-        which is what lets callers reconstruct the removed order.
-        """
-        slot = self.slot_of(order_id)
+    def _unlink(self, slot: int) -> None:
+        """Take slab row ``slot`` off its level (dropping the level if it
+        empties) and free the slot."""
         slab = self.slab
-        side = self.bids if slab.side[slot] == 0 else self.asks
-        idx = side.find(slab.price[slot])
-        side.unlink_order(idx, slot)
-        if side.count[idx] == 0:
-            side.remove_level(idx)
-        del self._id_slot[order_id]
-        slab.release(slot)
-        return slot
+        book_side = self.bids if slab.side[slot] == 0 else self.asks
+        idx = bisect_left(book_side.prices, slab.price[slot])
+        if book_side.count[idx] == 1:  # the level's only order
+            del book_side.prices[idx]
+            del book_side.volume[idx]
+            del book_side.head[idx]
+            del book_side.tail[idx]
+            del book_side.count[idx]
+        else:
+            prv = slab.prv[slot]
+            nxt = slab.nxt[slot]
+            if prv == _NIL:
+                book_side.head[idx] = nxt
+            else:
+                slab.nxt[prv] = nxt
+            if nxt == _NIL:
+                book_side.tail[idx] = prv
+            else:
+                slab.prv[nxt] = prv
+            book_side.count[idx] -= 1
+            book_side.volume[idx] -= slab.qty[slot]
+        del self._id_slot[slab.order_id[slot]]
+        slab._free.append(slot)
+        slab.in_use -= 1
 
     # -- market state helpers ------------------------------------------------
 
     @property
     def best_bid(self) -> int | None:
         """Best (highest) bid price in ticks, or None."""
-        return self.bids.best_price()
+        prices = self.bids.prices
+        return prices[-1] if prices else None
 
     @property
     def best_ask(self) -> int | None:
         """Best (lowest) ask price in ticks, or None."""
-        return self.asks.best_price()
+        prices = self.asks.prices
+        return prices[0] if prices else None
 
     @property
     def mid_price(self) -> float | None:

@@ -12,19 +12,20 @@ object-per-order golden model it replaced; the differential suite
 the same :class:`~repro.lob.events.MarketEvent` stream and the same
 sequence numbers.
 
-Two execution surfaces:
+One matching routine, two surfaces:
 
-- the per-operation API (``submit``/``cancel``/``replace`` returning
-  :class:`MatchResult`), used by the gateway and the tests;
-- :class:`ReplaySession`, the checked-out batch kernel: the slab
-  columns and price-level lists are copied out once, operations replay
-  as pure integer arithmetic with price–time priority (no per-op
-  ``Order``/``Fill``/``MatchResult``/event objects), and
-  :meth:`ReplaySession.commit` swaps the buffers back into the book in
-  O(1).  Sequence numbers advance exactly as the per-op path would, so
-  a per-op replay of the same stream lands on the same sequence — this
-  is what lets the market generator plan its agents' ops on a session
-  and still produce the tapes of the per-op loop.
+- :class:`MatchingKernel` matches plain-int orders in place on one
+  symbol's book columns — no ``Order``/``Fill``/``MatchResult``/event
+  objects.  The market generator's agents call it directly.
+- The per-operation API (``submit``/``cancel``/``replace`` returning
+  :class:`MatchResult`), used by the gateway, book seeding and the
+  tests, wraps the kernel and builds fills and events from the maker
+  fills it reports.
+
+Every op checks before it writes: an unknown order or a replace that
+changes nothing raises, and an FOK shortfall rejects a submission,
+before the book changes.  (A replace whose resubmission is FOK-rejected
+still cancels the original.)
 
 FOK is enforced for MARKET orders too (historically only LIMIT+FOK was
 checked, so a MARKET+FOK order silently degraded to IOC), and
@@ -34,12 +35,14 @@ resubmits through ``submit``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import NoReturn
 
 from repro.errors import MatchingError, OrderBookError
-from repro.lob.array_book import ArrayBook, ArraySide
+from repro.lob.array_book import ArrayBook
 from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
 from repro.lob.order import Fill, Order, OrderType, Side, TimeInForce
 from repro.metrics import NULL_METRICS, MetricRegistry
@@ -47,7 +50,7 @@ from repro.metrics import NULL_METRICS, MetricRegistry
 __all__ = [
     "ArrayMatchingEngine",
     "MatchResult",
-    "ReplaySession",
+    "MatchingKernel",
 ]
 
 _NIL = -1
@@ -60,78 +63,51 @@ _FOK = int(TimeInForce.FOK)
 
 
 def _raise_missing(oid: int, symbol: str) -> NoReturn:
-    """Raise the per-op API's unknown-order error (kept out of hot code)."""
+    """Raise the unknown-order error (kept out of hot code)."""
     raise OrderBookError(f"order {oid} not in book {symbol}")
 
 
 def _raise_no_change(oid: int) -> NoReturn:
-    """Raise the per-op API's no-op replace error (kept out of hot code)."""
+    """Raise the no-op replace error (kept out of hot code)."""
     raise MatchingError(f"replace of order {oid} changes nothing")
 
 
-class ReplaySession:
-    """A checked-out, mutation-ready copy of one symbol's array book.
+class _Sequence:
+    """The engine-wide market-data sequence number its kernels advance."""
 
-    Construction copies the slab columns, free list, id map and both
-    sides' price-level lists into flat session-private buffers; the
-    integer ops (:meth:`submit` / :meth:`cancel` / :meth:`replace`)
-    replay against those buffers as pure int arithmetic — no ``Order``
-    or event objects, no numpy scalar boxing; :meth:`commit` swaps the
-    buffers into the book and flushes metrics in O(1).  Until commit the
-    live book is untouched, so a raising sequence of ops is atomic: drop
-    the session (don't commit) and the book still holds its last
-    committed state.
+    __slots__ = ("value",)
 
-    Sequence-number accounting matches the per-op engine tick for tick
-    (one per trade print, one per book update), which is what lets the
-    market generator's fast path emit byte-identical snapshots.  Per-op
-    results surface allocation-free through ``op_filled`` / ``op_rested``
-    (last submit) and the sticky ``trade_price`` / ``trade_qty`` pair
-    (last matched level), with running totals in ``traded_quantity``,
-    ``notional``, ``n_fills`` and friends.
+    def __init__(self) -> None:
+        self.value = 0
 
-    One deliberate nuance: :meth:`replace` keeps the resting row's
-    owner (like the per-op API) rather than taking a new one.
-    Owner ids are interned into the live :class:`OwnerTable` as ops
-    arrive — the table is an append-only cache, so names interned by an
-    aborted session are harmless.
+
+class MatchingKernel:
+    """Price–time-priority matching in place on one symbol's array book.
+
+    The integer ops (:meth:`submit` / :meth:`cancel` / :meth:`replace`)
+    read and write the book's slab columns, id map and level lists
+    directly, advance the engine-wide sequence (one per trade print, one
+    per book update) and move the engine's ``lob.*`` metrics per op.
+    Per-op results surface allocation-free through ``op_filled`` /
+    ``op_rested`` (last submit) and the sticky ``trade_price`` /
+    ``trade_qty`` pair (last matched level), with running totals in
+    ``traded_quantity``, ``notional``, ``n_fills`` and ``rejected``.
+
+    :meth:`replace` keeps the resting row's owner (like the per-op API)
+    rather than taking a new one.
     """
 
     __slots__ = (
-        "engine",
         "book",
-        "symbol",
-        "cap",
-        "s_oid",
-        "s_price",
-        "s_qty",
-        "s_qty_orig",
-        "s_side",
-        "s_owner",
-        "s_entry",
-        "s_otype",
-        "s_tif",
-        "s_nxt",
-        "s_prv",
-        "free",
-        "in_use",
-        "high_water",
-        "id_slot",
-        "bid_price",
-        "bid_vol",
-        "bid_head",
-        "bid_tail",
-        "bid_cnt",
-        "ask_price",
-        "ask_vol",
-        "ask_head",
-        "ask_tail",
-        "ask_cnt",
-        "sequence",
-        "levels_high_water",
-        "n_orders",
-        "n_cancels",
-        "n_replaces",
+        "_seq",
+        "_metered",
+        "_m_orders",
+        "_m_fills",
+        "_m_cancels",
+        "_m_replaces",
+        "_m_levels",
+        "_m_occupancy",
+        "_fills",
         "n_fills",
         "traded_quantity",
         "notional",
@@ -142,54 +118,22 @@ class ReplaySession:
         "trade_qty",
     )
 
-    def __init__(self, engine: ArrayMatchingEngine, symbol: str) -> None:
-        self.engine = engine
-        self.symbol = symbol
-        self.book = engine.book(symbol)
-        self.refresh()
-
-    def refresh(self) -> None:
-        """(Re-)copy the live book into the session buffers.
-
-        Called by ``__init__``; call again after :meth:`commit` to keep
-        using the same session for another chunk of operations (commit
-        hands the buffers over to the book, so they must not be mutated
-        afterwards without a fresh checkout).
-        """
-        book = self.book
-        slab = book.slab
-        self.cap = slab.capacity
-        self.s_oid = slab.order_id[:]
-        self.s_price = slab.price[:]
-        self.s_qty = slab.qty[:]
-        self.s_qty_orig = slab.qty_orig[:]
-        self.s_side = slab.side[:]
-        self.s_owner = slab.owner[:]
-        self.s_entry = slab.entry_time[:]
-        self.s_otype = slab.otype[:]
-        self.s_tif = slab.tif[:]
-        self.s_nxt = slab.nxt[:]
-        self.s_prv = slab.prv[:]
-        self.free = slab._free[:]
-        self.in_use = slab.in_use
-        self.high_water = slab.high_water
-        self.id_slot = dict(book._id_slot)
-        bids, asks = book.bids, book.asks
-        self.bid_price = bids.prices[:]
-        self.bid_vol = bids.volume[:]
-        self.bid_head = bids.head[:]
-        self.bid_tail = bids.tail[:]
-        self.bid_cnt = bids.count[:]
-        self.ask_price = asks.prices[:]
-        self.ask_vol = asks.volume[:]
-        self.ask_head = asks.head[:]
-        self.ask_tail = asks.tail[:]
-        self.ask_cnt = asks.count[:]
-        self.sequence = self.engine._sequence
-        self.levels_high_water = len(self.bid_price) + len(self.ask_price)
-        self.n_orders = 0
-        self.n_cancels = 0
-        self.n_replaces = 0
+    def __init__(self, engine: ArrayMatchingEngine, book: ArrayBook) -> None:
+        self.book = book
+        # What the kernel needs of its engine, held directly: the engine
+        # holds its kernels, so a reference back would leave every
+        # discarded engine for the cycle collector to free.
+        self._seq = engine._seq
+        self._metered = engine._metered
+        self._m_orders = engine._m_orders
+        self._m_fills = engine._m_fills
+        self._m_cancels = engine._m_cancels
+        self._m_replaces = engine._m_replaces
+        self._m_levels = engine._m_levels
+        self._m_occupancy = engine._m_occupancy
+        # The per-op API sets a list here for one call to receive each
+        # maker fill as (price, quantity, maker id, owner id).
+        self._fills: list[tuple[int, int, int, int]] | None = None
         self.n_fills = 0
         self.traded_quantity = 0
         self.notional = 0
@@ -198,50 +142,6 @@ class ReplaySession:
         self.op_rested = False
         self.trade_price = 0
         self.trade_qty = 0
-
-    # -- read surface (session view, pre-commit) -----------------------------
-
-    def intern(self, owner: str) -> int:
-        """Dense owner id for ``owner`` (interned in the live table)."""
-        return self.book.owners.intern(owner)
-
-    def contains(self, order_id: int) -> bool:
-        """True when ``order_id`` rests in the session's book view."""
-        return order_id in self.id_slot
-
-    def best_bid(self) -> int | None:
-        """Best bid price in the session view, or None."""
-        bid_price = self.bid_price
-        return bid_price[-1] if bid_price else None
-
-    def best_ask(self) -> int | None:
-        """Best ask price in the session view, or None."""
-        ask_price = self.ask_price
-        return ask_price[0] if ask_price else None
-
-    def top_bids(self, depth: int) -> tuple[tuple[int, int], ...]:
-        """Up to ``depth`` bid (price, volume) pairs, best first."""
-        prices = self.bid_price
-        volume = self.bid_vol
-        n = len(prices)
-        lo = n - depth if n > depth else 0
-        out = []
-        for k in range(n - 1, lo - 1, -1):
-            out.append((prices[k], volume[k]))
-        return tuple(out)
-
-    def top_asks(self, depth: int) -> tuple[tuple[int, int], ...]:
-        """Up to ``depth`` ask (price, volume) pairs, best first."""
-        prices = self.ask_price
-        volume = self.ask_vol
-        n = len(prices)
-        hi = depth if depth < n else n
-        out = []
-        for k in range(hi):
-            out.append((prices[k], volume[k]))
-        return tuple(out)
-
-    # -- integer operations (hot; RL004 via the hotpath MANIFEST) ------------
 
     def submit(
         self,
@@ -254,57 +154,51 @@ class ReplaySession:
         timestamp: int,
         owner_id: int,
     ) -> None:
-        """Match-then-rest one order, all plain-int, no result objects.
-
-        Mirrors the per-op ``submit`` exactly: FOK full-fill check, match
-        while crossing (sequence +2 per matched level: trade print +
-        level update), rest a DAY LIMIT remainder (+1).  Outcome lands
-        in ``op_filled`` / ``op_rested`` / ``trade_price`` / ``trade_qty``.
-        """
+        """Match-then-rest one order: FOK full-fill check, match while
+        crossing (sequence +2 per matched level: trade print + level
+        update), rest a DAY LIMIT remainder (+1)."""
+        book = self.book
+        if self._metered:
+            self._m_orders.inc()
         self.op_filled = 0
         self.op_rested = False
-        self.n_orders += 1
-        remaining = qty
-        s_qty = self.s_qty
-        s_nxt = self.s_nxt
-        s_prv = self.s_prv
-        s_oid = self.s_oid
-        free = self.free
-        id_slot = self.id_slot
-        if side == 0:  # incoming bid matches asks (best = index 0)
-            opp_price = self.ask_price
-            opp_vol = self.ask_vol
-            opp_head = self.ask_head
-            opp_tail = self.ask_tail
-            opp_cnt = self.ask_cnt
-        else:  # incoming ask matches bids (best = last index)
-            opp_price = self.bid_price
-            opp_vol = self.bid_vol
-            opp_head = self.bid_head
-            opp_tail = self.bid_tail
-            opp_cnt = self.bid_cnt
-
+        opposite = book.asks if side == 0 else book.bids
+        opp_price = opposite.prices
+        opp_vol = opposite.volume
         if tif == _FOK:
-            # Fillable-volume walk, best level first, early exit.
+            # Fillable-volume walk, best level first, early exit; a
+            # shortfall rejects before anything is written.
             available = 0
             if side == 0:
                 for k in range(len(opp_price)):
                     if otype != _MARKET and opp_price[k] > price:
                         break
                     available += opp_vol[k]
-                    if available >= remaining:
+                    if available >= qty:
                         break
             else:
                 for k in range(len(opp_price) - 1, -1, -1):
                     if otype != _MARKET and opp_price[k] < price:
                         break
                     available += opp_vol[k]
-                    if available >= remaining:
+                    if available >= qty:
                         break
-            if available < remaining:
+            if available < qty:
                 self.rejected += 1
                 return
 
+        slab = book.slab
+        s_qty = slab.qty
+        s_nxt = slab.nxt
+        s_oid = slab.order_id
+        s_owner = slab.owner
+        free = slab._free
+        id_slot = book._id_slot
+        opp_head = opposite.head
+        fills = self._fills
+        remaining = qty
+        sequence = self._seq.value
+        n_fills = 0
         # Match while the order crosses the opposite best level.
         while remaining > 0 and opp_price:
             best = 0 if side == 0 else len(opp_price) - 1
@@ -320,23 +214,27 @@ class ReplaySession:
             self.traded_quantity += take
             self.notional += take * best_price
             remaining -= take
-            self.sequence += 2  # trade print + level update
+            sequence += 2  # trade print + level update
             self.trade_price = best_price
             self.trade_qty = take
             if take == level_volume:
-                # Whole level consumed: release every maker slot.
+                # Whole level consumed: free every maker slot.
                 slot = opp_head[best]
                 while slot != _NIL:
+                    if fills is not None:
+                        fills.append(
+                            (best_price, s_qty[slot], s_oid[slot], s_owner[slot])
+                        )
                     del id_slot[s_oid[slot]]
                     free.append(slot)
-                    self.in_use -= 1
-                    self.n_fills += 1
+                    slab.in_use -= 1
+                    n_fills += 1
                     slot = s_nxt[slot]
                 del opp_price[best]
                 del opp_vol[best]
                 del opp_head[best]
-                del opp_tail[best]
-                del opp_cnt[best]
+                del opposite.tail[best]
+                del opposite.count[best]
             else:
                 # Partial level: pop exhausted makers off the FIFO
                 # head, reduce the last one in place.
@@ -345,221 +243,79 @@ class ReplaySession:
                 while left > 0:
                     slot = opp_head[best]
                     maker_remaining = s_qty[slot]
-                    self.n_fills += 1
+                    n_fills += 1
+                    if fills is not None:
+                        fill = maker_remaining if maker_remaining <= left else left
+                        fills.append((best_price, fill, s_oid[slot], s_owner[slot]))
                     if maker_remaining <= left:
                         left -= maker_remaining
                         nxt = s_nxt[slot]
                         opp_head[best] = nxt
-                        if nxt == _NIL:
-                            opp_tail[best] = _NIL
-                        else:
-                            s_prv[nxt] = _NIL
-                        opp_cnt[best] -= 1
+                        slab.prv[nxt] = _NIL  # the level outlives this maker
+                        opposite.count[best] -= 1
                         del id_slot[s_oid[slot]]
                         free.append(slot)
-                        self.in_use -= 1
+                        slab.in_use -= 1
                     else:
                         s_qty[slot] = maker_remaining - left
                         left = 0
 
         self.op_filled = qty - remaining
         if remaining > 0 and otype == _LIMIT and tif == _DAY:
-            # Rest the remainder (NEW/CHANGE book update = one tick).
-            if not free:
-                self._grow_slab()
-            slot = free.pop()
-            self.in_use += 1
-            if self.in_use > self.high_water:
-                self.high_water = self.in_use
-            s_oid[slot] = oid
-            self.s_price[slot] = price
-            s_qty[slot] = remaining
-            self.s_qty_orig[slot] = qty
-            self.s_side[slot] = side
-            self.s_owner[slot] = owner_id
-            self.s_entry[slot] = timestamp
-            self.s_otype[slot] = otype
-            self.s_tif[slot] = tif
-            if side == 0:
-                lp = self.bid_price
-                lv = self.bid_vol
-                lh = self.bid_head
-                lt = self.bid_tail
-                lc = self.bid_cnt
-            else:
-                lp = self.ask_price
-                lv = self.ask_vol
-                lh = self.ask_head
-                lt = self.ask_tail
-                lc = self.ask_cnt
-            idx = bisect_left(lp, price)
-            if idx < len(lp) and lp[idx] == price:
-                tail = lt[idx]
-                s_prv[slot] = tail
-                s_nxt[slot] = _NIL
-                if tail == _NIL:
-                    lh[idx] = slot
-                else:
-                    s_nxt[tail] = slot
-                lt[idx] = slot
-                lc[idx] += 1
-                lv[idx] += remaining
-            else:
-                lp.insert(idx, price)
-                lv.insert(idx, remaining)
-                lh.insert(idx, slot)
-                lt.insert(idx, slot)
-                lc.insert(idx, 1)
-                s_prv[slot] = _NIL
-                s_nxt[slot] = _NIL
-                levels = len(self.bid_price) + len(self.ask_price)
-                if levels > self.levels_high_water:
-                    self.levels_high_water = levels
-            id_slot[oid] = slot
-            self.sequence += 1
+            book._rest(
+                side, otype, tif, price, remaining, qty, oid, timestamp, owner_id
+            )
+            sequence += 1  # the NEW/CHANGE book update
             self.op_rested = True
+        self._seq.value = sequence
+        self.n_fills += n_fills
+        if self._metered:
+            self._m_fills.inc(n_fills)
+            self._record_book()
 
     def cancel(self, oid: int) -> None:
-        """Unlink a resting order; raises like the per-op API on unknowns."""
-        slot = self.id_slot.get(oid)
+        """Unlink a resting order; an unknown id raises before any write."""
+        book = self.book
+        slot = book._id_slot.get(oid)
         if slot is None:
-            _raise_missing(oid, self.symbol)
-        self._unlink(slot)
-        del self.id_slot[oid]
-        self.free.append(slot)
-        self.in_use -= 1
-        self.sequence += 1  # the cancel-side level update
-        self.n_cancels += 1
+            _raise_missing(oid, book.symbol)
+        book._unlink(slot)
+        self._seq.value += 1  # the cancel-side level update
+        if self._metered:
+            self._m_cancels.inc()
+            self._record_book()
 
     def replace(self, oid: int, new_price: int, new_qty: int, timestamp: int) -> None:
         """Cancel-and-replace, keeping the resting owner; <=0 keeps old.
 
-        Resubmits through :meth:`submit`, so an FOK original re-runs the
-        full-fill check at its new price/quantity (per-op semantics).
-        """
-        slot = self.id_slot.get(oid)
-        if slot is None:
-            _raise_missing(oid, self.symbol)
-        if new_price <= 0 and new_qty <= 0:
-            _raise_no_change(oid)
-        side = self.s_side[slot]
-        otype = self.s_otype[slot]
-        tif = self.s_tif[slot]
-        owner_id = self.s_owner[slot]
-        price = new_price if new_price > 0 else self.s_price[slot]
-        qty = new_qty if new_qty > 0 else self.s_qty[slot]
-        self._unlink(slot)
-        del self.id_slot[oid]
-        self.free.append(slot)
-        self.in_use -= 1
-        self.sequence += 1  # the cancel-side level update
-        self.n_replaces += 1
-        self.submit(side, otype, tif, price, qty, oid, timestamp, owner_id)
-
-    def _unlink(self, slot: int) -> None:
-        """Drop slab row ``slot`` from its level (and the level if empty)."""
-        s_price = self.s_price
-        if self.s_side[slot] == 0:
-            lp = self.bid_price
-            lv = self.bid_vol
-            lh = self.bid_head
-            lt = self.bid_tail
-            lc = self.bid_cnt
-        else:
-            lp = self.ask_price
-            lv = self.ask_vol
-            lh = self.ask_head
-            lt = self.ask_tail
-            lc = self.ask_cnt
-        idx = bisect_left(lp, s_price[slot])
-        prv = self.s_prv[slot]
-        nxt = self.s_nxt[slot]
-        if prv == _NIL:
-            lh[idx] = nxt
-        else:
-            self.s_nxt[prv] = nxt
-        if nxt == _NIL:
-            lt[idx] = prv
-        else:
-            self.s_prv[nxt] = prv
-        lc[idx] -= 1
-        lv[idx] -= self.s_qty[slot]
-        if lc[idx] == 0:
-            del lp[idx]
-            del lv[idx]
-            del lh[idx]
-            del lt[idx]
-            del lc[idx]
-
-    def _grow_slab(self) -> None:
-        """Double the session's slab buffers (same slot order as the slab)."""
-        cap = self.cap
-        new_cap = cap * 2
-        grow = new_cap - cap
-        self.s_oid.extend([0] * grow)
-        self.s_price.extend([0] * grow)
-        self.s_qty.extend([0] * grow)
-        self.s_qty_orig.extend([0] * grow)
-        self.s_side.extend([0] * grow)
-        self.s_owner.extend([0] * grow)
-        self.s_entry.extend([0] * grow)
-        self.s_otype.extend([0] * grow)
-        self.s_tif.extend([0] * grow)
-        self.s_nxt.extend([_NIL] * grow)
-        self.s_prv.extend([_NIL] * grow)
-        self.free.extend(range(new_cap - 1, cap - 1, -1))
-        self.cap = new_cap
-
-    # -- commit --------------------------------------------------------------
-
-    def commit(self) -> None:
-        """Swap the session buffers into the live book, flush metrics.
-
-        O(1): the buffers become the book's columns (no copies).  The
-        gauges replay the per-op observation order — high-water first,
-        then the final value — so a committed session leaves the metric
-        registry byte-identical to a per-op replay of the same stream.
-        Call :meth:`refresh` before reusing the session afterwards.
+        An unknown id or a replace that changes nothing raises before
+        any write.  Resubmits through :meth:`submit`, so an FOK original
+        re-runs the full-fill check at its new price/quantity.
         """
         book = self.book
+        slot = book._id_slot.get(oid)
+        if slot is None:
+            _raise_missing(oid, book.symbol)
+        if new_price <= 0 and new_qty <= 0:
+            _raise_no_change(oid)
         slab = book.slab
-        engine = self.engine
-        slab.capacity = self.cap
-        slab.order_id = self.s_oid
-        slab.price = self.s_price
-        slab.qty = self.s_qty
-        slab.qty_orig = self.s_qty_orig
-        slab.side = self.s_side
-        slab.owner = self.s_owner
-        slab.entry_time = self.s_entry
-        slab.otype = self.s_otype
-        slab.tif = self.s_tif
-        slab.nxt = self.s_nxt
-        slab.prv = self.s_prv
-        slab._free = self.free
-        slab.in_use = self.in_use
-        slab.high_water = self.high_water
-        book._id_slot = self.id_slot
-        bids, asks = book.bids, book.asks
-        bids.prices = self.bid_price
-        bids.volume = self.bid_vol
-        bids.head = self.bid_head
-        bids.tail = self.bid_tail
-        bids.count = self.bid_cnt
-        asks.prices = self.ask_price
-        asks.volume = self.ask_vol
-        asks.head = self.ask_head
-        asks.tail = self.ask_tail
-        asks.count = self.ask_cnt
-        engine._sequence = self.sequence
-        engine._m_orders.inc(self.n_orders)
-        engine._m_cancels.inc(self.n_cancels)
-        engine._m_replaces.inc(self.n_replaces)
-        engine._m_fills.inc(self.n_fills)
-        engine._m_levels.set(self.levels_high_water)
-        engine._m_levels.set(len(self.bid_price) + len(self.ask_price))
-        engine._m_occupancy.set(self.high_water)
-        engine._m_occupancy.set(self.in_use)
+        side = slab.side[slot]
+        otype = slab.otype[slot]
+        tif = slab.tif[slot]
+        owner_id = slab.owner[slot]
+        price = new_price if new_price > 0 else slab.price[slot]
+        qty = new_qty if new_qty > 0 else slab.qty[slot]
+        book._unlink(slot)
+        self._seq.value += 1  # the cancel-side level update
+        if self._metered:
+            self._m_replaces.inc()
+        self.submit(side, otype, tif, price, qty, oid, timestamp, owner_id)
+
+    def _record_book(self) -> None:
+        """Write the book-shape high-water gauges after an op."""
+        book = self.book
+        self._m_levels.set(len(book.bids.prices) + len(book.asks.prices))
+        self._m_occupancy.set(book.slab.in_use)
 
 
 @dataclass
@@ -587,15 +343,21 @@ class MatchResult:
 class ArrayMatchingEngine:
     """Price–time-priority matching over struct-of-arrays books.
 
-    ``metrics`` threads a :class:`repro.metrics.MetricRegistry` through
-    the hot path: orders / fills / cancels / replaces counters plus
-    level-count and slab-occupancy (resting orders) high-water gauges.
+    One :class:`MatchingKernel` per symbol; ``submit``/``cancel``/
+    ``replace`` wrap it.  ``metrics`` threads a
+    :class:`repro.metrics.MetricRegistry` through the kernel: orders /
+    fills / cancels / replaces counters plus level-count and
+    slab-occupancy (resting orders) high-water gauges.  The sequence is
+    engine-wide across symbols.
     """
 
     def __init__(self, metrics: MetricRegistry | None = None) -> None:
-        self._books: dict[str, ArrayBook] = {}
-        self._sequence = 0
+        self._kernels: dict[str, MatchingKernel] = {}
+        self._seq = _Sequence()
         registry = metrics if metrics is not None else NULL_METRICS
+        # The kernel skips its metric writes outright when they would
+        # all be no-ops.
+        self._metered = registry.enabled
         self._m_orders = registry.counter("lob.orders")
         self._m_fills = registry.counter("lob.fills")
         self._m_cancels = registry.counter("lob.cancels")
@@ -603,27 +365,27 @@ class ArrayMatchingEngine:
         self._m_levels = registry.gauge("lob.levels_high_water")
         self._m_occupancy = registry.gauge("lob.slab_occupancy_high_water")
 
+    def kernel(self, symbol: str) -> MatchingKernel:
+        """The matching kernel over ``symbol``'s book (created empty)."""
+        kernel = self._kernels.get(symbol)
+        if kernel is None:
+            kernel = MatchingKernel(self, ArrayBook(symbol))
+            self._kernels[symbol] = kernel
+        return kernel
+
     def book(self, symbol: str) -> ArrayBook:
         """The book for ``symbol``, created empty on first use."""
-        book = self._books.get(symbol)
-        if book is None:
-            book = ArrayBook(symbol)
-            self._books[symbol] = book
-        return book
+        return self.kernel(symbol).book
 
     @property
     def symbols(self) -> list[str]:
         """Symbols with a (possibly empty) book."""
-        return list(self._books)
+        return list(self._kernels)
 
-    def _next_seq(self) -> int:
-        self._sequence += 1
-        return self._sequence
-
-    def _record_book(self, book: ArrayBook) -> None:
-        """Update the book-shape high-water gauges (allocation-free)."""
-        self._m_levels.set(len(book.bids.prices) + len(book.asks.prices))
-        self._m_occupancy.set(book.slab.in_use)
+    @property
+    def _sequence(self) -> int:
+        """The last sequence number published on any of its books."""
+        return self._seq.value
 
     # -- public operations ----------------------------------------------------
 
@@ -635,55 +397,40 @@ class ArrayMatchingEngine:
         Market orders match until filled or the opposite side empties.
         FOK is enforced for both LIMIT and MARKET orders.
         """
-        book = self.book(symbol)
+        kernel = self.kernel(symbol)
         order.entry_time = timestamp
-        result = MatchResult(order=order)
-        self._m_orders.inc()
-
-        if order.tif is TimeInForce.FOK:
-            if self._fillable_quantity(book, order) < order.remaining:
-                result.accepted = False
-                return result
-
-        self._match(book, order, timestamp, result)
-
-        if order.remaining > 0 and order.order_type is OrderType.LIMIT:
-            if order.tif is TimeInForce.DAY:
-                book.insert(order)
-                side = book.side(order.side)
-                idx = side.find(order.price)
-                action = (
-                    UpdateAction.NEW
-                    if side.count[idx] == 1
-                    else UpdateAction.CHANGE
-                )
-                result.events.append(
-                    BookUpdate(
-                        symbol=symbol,
-                        timestamp=timestamp,
-                        action=action,
-                        side=order.side,
-                        price=order.price,
-                        volume=side.volume[idx],
-                        sequence=self._next_seq(),
-                    )
-                )
-            # IOC / FOK remainders are simply discarded.
-        self._m_fills.inc(len(result.fills))
-        self._record_book(book)
-        return result
+        return self._result(
+            kernel,
+            MatchResult(order=order),
+            timestamp,
+            kernel.submit,
+            int(order.side),
+            int(order.order_type),
+            int(order.tif),
+            order.price,
+            order.remaining,
+            order.order_id,
+            timestamp,
+            kernel.book.owners.intern(order.owner),
+        )
 
     def cancel(self, symbol: str, order_id: int, timestamp: int) -> MatchResult:
         """Cancel a resting order, publishing the level's new state."""
-        book = self.book(symbol)
+        kernel = self.kernel(symbol)
+        book = kernel.book
         order = book.find(order_id)
-        book.remove(order_id)
         result = MatchResult(order=order)
         result.events.append(
-            self._level_update(book, order.side, order.price, timestamp)
+            self._level_event(
+                book,
+                order.side,
+                order.price,
+                timestamp,
+                order.remaining,
+                self._seq.value + 1,
+            )
         )
-        self._m_cancels.inc()
-        self._record_book(book)
+        kernel.cancel(order_id)
         return result
 
     def replace(
@@ -699,16 +446,15 @@ class ArrayMatchingEngine:
         The replacement keeps the original order id but loses time
         priority (it re-enters the book as a fresh submission), matching
         exchange semantics for price changes and quantity increases.
-        Because the replacement goes back through :meth:`submit`, an FOK
-        original re-runs the full-fill check at its new price/quantity.
+        Because the replacement goes back through the kernel's
+        ``submit``, an FOK original re-runs the full-fill check at its
+        new price/quantity.
         """
-        book = self.book(symbol)
+        kernel = self.kernel(symbol)
+        book = kernel.book
         old = book.find(order_id)
         if new_price is None and new_quantity is None:
-            raise MatchingError(f"replace of order {order_id} changes nothing")
-        book.remove(order_id)
-        cancel_event = self._level_update(book, old.side, old.price, timestamp)
-
+            _raise_no_change(order_id)
         replacement = Order(
             side=old.side,
             price=new_price if new_price is not None else old.price,
@@ -719,135 +465,136 @@ class ArrayMatchingEngine:
             owner=old.owner,
             entry_time=timestamp,
         )
-        self._m_replaces.inc()
-        result = self.submit(symbol, replacement, timestamp)
-        result.events.insert(0, cancel_event)
-        return result
+        result = MatchResult(order=replacement)
+        # The level as the cancel leaves it, built before the
+        # resubmission (which may rest at that price) changes it again.
+        result.events.append(
+            self._level_event(
+                book,
+                old.side,
+                old.price,
+                timestamp,
+                old.remaining,
+                self._seq.value + 1,
+            )
+        )
+        return self._result(
+            kernel,
+            result,
+            timestamp,
+            kernel.replace,
+            order_id,
+            replacement.price,
+            replacement.quantity,
+            timestamp,
+        )
 
     # -- internals -------------------------------------------------------------
 
-    def _fillable_quantity(self, book: ArrayBook, order: Order) -> int:
-        """Volume available to ``order`` at prices it is willing to cross."""
-        opposite = book.side(order.side.opposite)
-        limit = None if order.order_type is OrderType.MARKET else order.price
-        return opposite.fillable_volume(limit, order.remaining)
+    def _result(
+        self,
+        kernel: MatchingKernel,
+        result: MatchResult,
+        timestamp: int,
+        op: Callable[..., None],
+        *args: int,
+    ) -> MatchResult:
+        """Run one kernel op, then build ``result``'s fills and events
+        from the maker fills it reports, numbered on from the events
+        ``result`` already holds."""
+        sequence = self._seq.value
+        rejected = kernel.rejected
+        fills: list[tuple[int, int, int, int]] = []
+        kernel._fills = fills
+        try:
+            op(*args)
+        finally:
+            kernel._fills = None
+        if kernel.rejected != rejected:
+            result.accepted = False
+            return result
+        order = result.order
+        book = kernel.book
+        events = result.events
+        sequence += len(events)
+        if fills:
+            order.remaining -= kernel.op_filled
+            name = book.owners.name
+            taker_side = order.side
+            # One trade print per matched level, then the level's new state.
+            for price, level_fills in groupby(fills, itemgetter(0)):
+                traded = 0
+                for _, quantity, maker_id, owner_id in level_fills:
+                    traded += quantity
+                    result.fills.append(
+                        Fill(
+                            price=price,
+                            quantity=quantity,
+                            maker_id=maker_id,
+                            taker_id=order.order_id,
+                            maker_owner=name(owner_id),
+                            taker_owner=order.owner,
+                            aggressor_side=taker_side,
+                            timestamp=timestamp,
+                        )
+                    )
+                sequence += 1
+                events.append(
+                    TradeTick(
+                        symbol=book.symbol,
+                        timestamp=timestamp,
+                        price=price,
+                        quantity=traded,
+                        aggressor_side=taker_side,
+                        sequence=sequence,
+                    )
+                )
+                sequence += 1
+                events.append(
+                    self._level_event(
+                        book, taker_side.opposite, price, timestamp, 0, sequence
+                    )
+                )
+        if kernel.op_rested:
+            book_side = book.side(order.side)
+            idx = book_side.find(order.price)
+            events.append(
+                BookUpdate(
+                    symbol=book.symbol,
+                    timestamp=timestamp,
+                    action=(
+                        UpdateAction.NEW
+                        if book_side.count[idx] == 1
+                        else UpdateAction.CHANGE
+                    ),
+                    side=order.side,
+                    price=order.price,
+                    volume=book_side.volume[idx],
+                    sequence=sequence + 1,
+                )
+            )
+        return result
 
-    @staticmethod
-    def _price_crosses(order: Order, resting_price: int) -> bool:
-        if order.order_type is OrderType.MARKET:
-            return True
-        if order.side is Side.BID:
-            return order.price >= resting_price
-        return order.price <= resting_price
-
-    def _match(
-        self, book: ArrayBook, order: Order, timestamp: int, result: MatchResult
-    ) -> None:
-        opposite = book.side(order.side.opposite)
-        while order.remaining > 0:
-            idx = opposite.best_index()
-            if idx == _NIL or not self._price_crosses(order, opposite.prices[idx]):
-                break
-            self._match_level(book, opposite, idx, order, timestamp, result)
-
-    def _match_level(
+    def _level_event(
         self,
         book: ArrayBook,
-        opposite: ArraySide,
-        idx: int,
-        order: Order,
+        side: Side,
+        price: int,
         timestamp: int,
-        result: MatchResult,
-    ) -> None:
-        """Fill ``order`` against level ``idx`` until one side is exhausted."""
-        slab = book.slab
-        price = opposite.prices[idx]
-        traded = 0
-        while order.remaining > 0 and opposite.count[idx] > 0:
-            slot = opposite.head[idx]
-            maker_remaining = slab.qty[slot]
-            quantity = (
-                order.remaining
-                if order.remaining < maker_remaining
-                else maker_remaining
-            )
-            slab.qty[slot] = maker_remaining - quantity
-            opposite.volume[idx] -= quantity
-            order.remaining -= quantity
-            traded += quantity
-            result.fills.append(
-                Fill(
-                    price=price,
-                    quantity=quantity,
-                    maker_id=slab.order_id[slot],
-                    taker_id=order.order_id,
-                    maker_owner=book.owners.name(slab.owner[slot]),
-                    taker_owner=order.owner,
-                    aggressor_side=order.side,
-                    timestamp=timestamp,
-                )
-            )
-            if quantity == maker_remaining:  # maker exhausted: pop from FIFO
-                opposite.unlink_order(idx, slot)
-                book.drop_slot(slot)
-        result.events.append(
-            TradeTick(
-                symbol=book.symbol,
-                timestamp=timestamp,
-                price=price,
-                quantity=traded,
-                aggressor_side=order.side,
-                sequence=self._next_seq(),
-            )
-        )
-        if opposite.count[idx] == 0:
-            opposite.remove_level(idx)
-            result.events.append(
-                BookUpdate(
-                    symbol=book.symbol,
-                    timestamp=timestamp,
-                    action=UpdateAction.DELETE,
-                    side=order.side.opposite,
-                    price=price,
-                    volume=0,
-                    sequence=self._next_seq(),
-                )
-            )
-        else:
-            result.events.append(
-                BookUpdate(
-                    symbol=book.symbol,
-                    timestamp=timestamp,
-                    action=UpdateAction.CHANGE,
-                    side=order.side.opposite,
-                    price=price,
-                    volume=opposite.volume[idx],
-                    sequence=self._next_seq(),
-                )
-            )
-
-    def _level_update(
-        self, book: ArrayBook, side: Side, price: int, timestamp: int
+        removed: int,
+        sequence: int,
     ) -> BookUpdate:
-        """Describe the current state of (side, price) as a BookUpdate."""
+        """(side, price)'s level with ``removed`` less volume: DELETE when
+        nothing would rest there, else CHANGE."""
         book_side = book.side(side)
         idx = book_side.find(price)
-        if idx == _NIL:
-            return BookUpdate(
-                symbol=book.symbol,
-                timestamp=timestamp,
-                action=UpdateAction.DELETE,
-                side=side,
-                price=price,
-                volume=0,
-                sequence=self._next_seq(),
-            )
+        volume = 0 if idx == _NIL else book_side.volume[idx] - removed
         return BookUpdate(
             symbol=book.symbol,
             timestamp=timestamp,
-            action=UpdateAction.CHANGE,
+            action=UpdateAction.CHANGE if volume else UpdateAction.DELETE,
             side=side,
             price=price,
-            volume=book_side.volume[idx],
-            sequence=self._next_seq(),
+            volume=volume,
+            sequence=sequence,
         )

@@ -14,7 +14,6 @@ from repro.market.generator import MarketConfig, MarketSimulator, generate_sessi
 from repro.market.hawkes import BURSTY, CALM, HawkesParams, HawkesProcess, sample_arrivals
 from repro.market.replay import Tick, TickTape
 from repro.market.stats import TrafficStats, describe, traffic_stats
-from repro.market.tape_cache import cached_session, clear_tape_cache
 
 __all__ = [
     "Agent",
@@ -36,8 +35,6 @@ __all__ = [
     "Tick",
     "TickTape",
     "TrafficStats",
-    "cached_session",
-    "clear_tape_cache",
     "default_mix",
     "describe",
     "generate_session",

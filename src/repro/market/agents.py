@@ -7,10 +7,10 @@ ingredients the paper's traffic analysis relies on — passive liquidity
 behaviour that amplifies bursts (momentum traders) — while keeping the
 book two-sided and mean-reverting around a slowly moving reference price.
 
-Each agent plans its operations as plain-int records against a
-checked-out :class:`~repro.lob.array_matching.ReplaySession`
-(``act_fast``) — no ``Order``/``MatchResult`` objects per arrival.  The
-per-op reference loop these plans replaced lives in
+Each agent sends its operations as plain ints to the symbol's
+:class:`~repro.lob.array_matching.MatchingKernel` (``act_fast``), which
+matches them in place on the live book — no ``Order``/``MatchResult``
+objects per arrival.  The per-op reference loop this replaced lives in
 ``tests/oracles/market.py``; the RNG draw sequence is kept identical to
 it draw for draw (``rng.random()`` advances the bit-stream exactly like
 ``rng.uniform()``, and the mix's CDF-bisect sampling consumes the same
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lob.array_matching import ReplaySession
+from repro.lob.array_matching import MatchingKernel
 from repro.lob.order import OrderType, Side, TimeInForce, next_order_id
 
 # Plain-int encodings of the enums the agents' ops carry.
@@ -42,38 +42,45 @@ _SIGN = (1, -1)  # Side.sign by int side
 class FastMarketContext:
     """Mutable state shared between agents while generating a session.
 
-    Reads (best bid/ask, anchor price) come from the checked-out
-    :class:`~repro.lob.array_matching.ReplaySession` buffers, writes go
-    through the session's integer ops; the live book is only touched at
-    commit.  ``anchor_price`` reproduces the reference context's float
-    math exactly (same rounding of the same mid), which tape parity
-    depends on.
+    Agents read the live book (best bid/ask, order presence, anchor
+    price) through ``book`` and write it through ``kernel``'s integer
+    ops.  ``anchor_price`` reproduces the reference context's float math
+    exactly (same rounding of the same mid), which tape parity depends
+    on.
     """
 
-    __slots__ = ("symbol", "reference_price", "last_direction", "session", "_owner_ids")
+    __slots__ = (
+        "symbol",
+        "reference_price",
+        "last_direction",
+        "kernel",
+        "book",
+        "_owner_ids",
+    )
 
     def __init__(
-        self, symbol: str, reference_price: float, session: ReplaySession
+        self, symbol: str, reference_price: float, kernel: MatchingKernel
     ) -> None:
         self.symbol = symbol
         self.reference_price = reference_price
         self.last_direction = 0
-        self.session = session
+        self.kernel = kernel
+        self.book = kernel.book
         self._owner_ids: dict[str, int] = {}
 
     def owner_id(self, name: str) -> int:
         """Dense owner id for ``name`` (memoised interning)."""
         owner = self._owner_ids.get(name)
         if owner is None:
-            owner = self.session.intern(name)
+            owner = self.book.owners.intern(name)
             self._owner_ids[name] = owner
         return owner
 
     def anchor_price(self) -> int:
         """Best integer price to quote around: the mid if the book is
         two-sided, else the drifting reference price."""
-        bid = self.session.best_bid()
-        ask = self.session.best_ask()
+        bid = self.book.best_bid
+        ask = self.book.best_ask
         if bid is not None and ask is not None:
             return round((bid + ask) / 2)
         return round(self.reference_price)
@@ -86,8 +93,8 @@ class Agent(abc.ABC):
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        """Plan zero or more operations at ``timestamp`` through
-        ``fctx.session``; True when the arrival produced market events."""
+        """Send zero or more operations at ``timestamp`` through
+        ``fctx.kernel``; True when the arrival produced market events."""
 
 
 class MarketMaker(Agent):
@@ -107,12 +114,13 @@ class MarketMaker(Agent):
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        session = fctx.session
+        kernel = fctx.kernel
+        book = fctx.book
         had_events = False
         while len(self._live) >= self.max_live_quotes:
             order_id = self._live.pop(0)
-            if session.contains(order_id):
-                session.cancel(order_id)
+            if order_id in book:
+                kernel.cancel(order_id)
                 had_events = True
         anchor = fctx.anchor_price()
         side = _BID if rng.random() < 0.5 else _ASK
@@ -122,11 +130,11 @@ class MarketMaker(Agent):
             return had_events
         quantity = int(rng.integers(1, 10))
         order_id = next_order_id()
-        session.submit(
+        kernel.submit(
             side, _LIMIT, _DAY, price, quantity, order_id, timestamp,
             fctx.owner_id(self.name),
         )
-        if session.op_rested:
+        if kernel.op_rested:
             self._live.append(order_id)
         # A DAY limit always prints (fills and/or a resting update).
         return True
@@ -142,19 +150,20 @@ class LiquidityTaker(Agent):
     def act_fast(
         self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        session = fctx.session
-        best_bid = session.best_bid()
-        best_ask = session.best_ask()
+        book = fctx.book
+        best_bid = book.best_bid
+        best_ask = book.best_ask
         if best_bid is None or best_ask is None:
             return False
         side = _BID if rng.random() < 0.5 else _ASK
         touch = best_ask if side == _BID else best_bid
         quantity = int(rng.integers(1, 6))
-        session.submit(
+        kernel = fctx.kernel
+        kernel.submit(
             side, _LIMIT, _IOC, touch, quantity, next_order_id(), timestamp,
             fctx.owner_id(self.name),
         )
-        if session.op_filled:
+        if kernel.op_filled:
             fctx.last_direction = _SIGN[side]
             return True
         # An unfilled IOC leaves no trace (no fills, no resting update).
@@ -172,16 +181,17 @@ class MomentumTrader(Agent):
     ) -> bool:
         if fctx.last_direction == 0:
             return False
-        session = fctx.session
-        if session.best_bid() is None or session.best_ask() is None:
+        book = fctx.book
+        if book.best_bid is None or book.best_ask is None:
             return False
         side = _BID if fctx.last_direction > 0 else _ASK
         quantity = int(rng.integers(1, 4))
-        session.submit(
+        kernel = fctx.kernel
+        kernel.submit(
             side, _MARKET, _DAY, 1, quantity, next_order_id(), timestamp,
             fctx.owner_id(self.name),
         )
-        return session.op_filled > 0
+        return kernel.op_filled > 0
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ bursty tick timestamps (Hawkes), realistic two-sided book dynamics
 (agent-based order flow through a real price–time-priority matching
 engine), and per-tick depth snapshots recorded as a :class:`TickTape`.
 
-The generator checks the book out into a
-:class:`~repro.lob.array_matching.ReplaySession` once per arrival chunk
-and lets agents plan plain-int ops against it — no per-arrival
-``Order``/``MatchResult``/event objects, snapshots sliced straight from
-the session's packed level lists.  ``tests/oracles/market.py`` keeps the
-per-op loop this replaced (every agent action through the engine's
-public API); the RNG draw sequence and the reference-price drift are
-preserved draw for draw, which keeps the two tapes byte-identical.
+The generator's agents send plain-int ops straight to the symbol's
+:class:`~repro.lob.array_matching.MatchingKernel`, which matches them in
+place on the live book — no per-arrival ``Order``/``MatchResult``/event
+objects, snapshots sliced straight from the book's packed level lists.
+``tests/oracles/market.py`` keeps the per-op loop this replaced (every
+agent action through the engine's public API); the RNG draw sequence
+and the reference-price drift are preserved draw for draw, which keeps
+the two tapes byte-identical.
 
 Arrivals are consumed in chunks of ``_ARRIVAL_CHUNK``, so a long session
 never materialises its full arrival array as a Python list.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lob.array_matching import ArrayMatchingEngine, ReplaySession
+from repro.lob.array_matching import ArrayMatchingEngine
 from repro.lob.order import Order, Side
 from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
 from repro.market.agents import AgentMix, FastMarketContext, default_mix
@@ -33,9 +33,8 @@ from repro.market.replay import Tick, TickTape
 from repro.metrics import MetricRegistry
 from repro.units import sec_to_ns
 
-# Arrival timestamps are converted to Python ints this many at a time —
-# bounds peak memory on long sessions and sets the checkout/commit
-# cadence of the replay session.
+# Arrival timestamps are converted to Python ints this many at a time,
+# which bounds the ``tolist`` batch (peak memory on long sessions).
 _ARRIVAL_CHUNK = 4096
 
 
@@ -109,12 +108,9 @@ class MarketSimulator:
         snapshot).  The same (config, mix, seed, duration) always produces
         the identical tape.
 
-        One :class:`ReplaySession` checkout per arrival chunk; commits at
-        chunk boundaries (and before any early return) so the live book
-        and metric registry end exactly as the per-op reference loop
-        leaves them.  An exception inside a chunk propagates without
-        committing, leaving the book at the last chunk boundary —
-        agent-op atomicity.
+        Agents act on the live book through its matching kernel.  Every
+        kernel op checks before it writes, so an exception from an agent
+        op propagates with the book as the previous op left it.
         """
         cfg = self.config
         rng = np.random.default_rng(self.seed)
@@ -126,23 +122,23 @@ class MarketSimulator:
 
         symbol = cfg.symbol
         depth = cfg.snapshot_depth
-        session = ReplaySession(engine, symbol)
-        fctx = FastMarketContext(symbol, float(cfg.initial_price), session)
+        kernel = engine.kernel(symbol)
+        bids = kernel.book.bids
+        asks = kernel.book.asks
+        fctx = FastMarketContext(symbol, float(cfg.initial_price), kernel)
         sample_fast = self.mix.sample_fast
         normal = rng.normal
         ticks: list[Tick] = []
         sequence = 0
         for start in range(0, arrival_times.shape[0], _ARRIVAL_CHUNK):
-            if start:
-                session.refresh()
             for timestamp in arrival_times[start : start + _ARRIVAL_CHUNK].tolist():
                 agent = sample_fast(rng)
-                traded_before = session.traded_quantity
+                traded_before = kernel.traded_quantity
                 if not agent.act_fast(fctx, timestamp, rng):
                     continue
                 fctx.reference_price += normal(0.0, 0.05)
-                if session.traded_quantity > traded_before:
-                    last_price, last_quantity = session.trade_price, session.trade_qty
+                if kernel.traded_quantity > traded_before:
+                    last_price, last_quantity = kernel.trade_price, kernel.trade_qty
                 else:
                     last_price, last_quantity = None, 0
                 sequence += 1
@@ -150,17 +146,15 @@ class MarketSimulator:
                     symbol,
                     timestamp,
                     depth,
-                    session.top_bids(depth),
-                    session.top_asks(depth),
+                    tuple(bids.top(depth)),
+                    tuple(asks.top(depth)),
                     last_price,
                     last_quantity,
                     sequence,
                 )
                 ticks.append(Tick(timestamp=timestamp, snapshot=snapshot))
                 if max_ticks is not None and len(ticks) >= max_ticks:
-                    session.commit()
                     return TickTape(ticks)
-            session.commit()
         return TickTape(ticks)
 
 
@@ -170,11 +164,6 @@ def generate_session(
     hawkes: HawkesParams | None = None,
     symbol: str = "ESU6",
 ) -> TickTape:
-    """One-call helper used across examples and benchmarks.
-
-    Always generates fresh; :func:`repro.market.tape_cache.cached_session`
-    is the memoised front door for callers that replay identical sessions
-    (campaign probes, benchmarks).
-    """
+    """One-call helper used across examples, benchmarks and probes."""
     config = MarketConfig(symbol=symbol, hawkes=hawkes or BURSTY)
     return MarketSimulator(config, seed=seed).generate(duration_s)

@@ -1,8 +1,8 @@
 """Reference market generation loop (test oracle).
 
 The shipping generator (:meth:`repro.market.generator.MarketSimulator.generate`)
-plans each agent's operations as plain-int records on a checked-out
-:class:`~repro.lob.array_matching.ReplaySession`.  This module keeps the
+sends each agent's operations as plain ints to the live book's
+:class:`~repro.lob.array_matching.MatchingKernel`.  This module keeps the
 per-op loop it replaced: every agent action goes through an engine's
 public ``submit``/``cancel`` API and returns :class:`MatchResult` lists,
 and every tick is snapshotted with :func:`tests.oracles.book.capture`.

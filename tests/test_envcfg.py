@@ -45,10 +45,8 @@ def test_registry_contents_and_defaults():
         "REPRO_METRICS",
         "REPRO_METRICS_FLUSH_NS",
         "REPRO_METRICS_EXPORT",
-        "REPRO_TAPE_CACHE",
     }
     assert {var.kind for var in by_name.values()} == {"int", "float", "path"}
-    assert by_name["REPRO_TAPE_CACHE"].default is None
     assert by_name["REPRO_METRICS"].default == 1
     assert by_name["REPRO_METRICS_FLUSH_NS"].default == 0
     assert by_name["REPRO_METRICS_EXPORT"].default is None

@@ -7,13 +7,17 @@ same fills (prices, quantities, maker ids and owners), same
 :class:`MarketEvent` stream with the same sequence numbers, same books
 afterwards.  These tests drive seeded randomized op streams
 (submit/cancel/replace across order types and TIFs) through both
-engines per-op, through one :class:`ReplaySession` as a batch, and
-through the reference market generator on either engine end-to-end
-(byte-identical tapes) — the same checks the lob-parity CI gate runs.
+engines per-op, through the :class:`MatchingKernel`'s integer ops on the
+live book, and through both surfaces interleaved on one engine; they
+check that every raising or rejected op leaves the book, the sequence
+and the metrics as they were, and that the reference market generator
+writes byte-identical tapes on either engine — the same checks the
+lob-parity CI gate runs.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
@@ -24,7 +28,6 @@ from repro.lob import (
     ArrayMatchingEngine,
     Order,
     OrderType,
-    ReplaySession,
     Side,
     TimeInForce,
 )
@@ -150,20 +153,20 @@ def test_per_op_differential_parity(seed):
     assert array.book(SYMBOL).asks.top(25) == reference.book(SYMBOL).asks.top(25)
 
 
-def play(session, rows, timestamp=0, owner="replay"):
-    """Play stream rows onto ``session`` without committing it.
+def play(kernel, rows, timestamp=0, owner="replay"):
+    """Play stream rows through ``kernel``'s integer ops.
 
     Replacement price/quantity <= 0 keeps the old value, as ``None``
     does in the per-op API.
     """
-    owner_id = session.intern(owner)
+    owner_id = kernel.book.owners.intern(owner)
     for kind, side, otype, tif, price, qty, order_id in rows:
         if kind == OP_SUBMIT:
-            session.submit(side, otype, tif, price, qty, order_id, timestamp, owner_id)
+            kernel.submit(side, otype, tif, price, qty, order_id, timestamp, owner_id)
         elif kind == OP_CANCEL:
-            session.cancel(order_id)
+            kernel.cancel(order_id)
         else:
-            session.replace(order_id, price, qty, timestamp)
+            kernel.replace(order_id, price, qty, timestamp)
 
 
 def per_op_totals(engine, rows):
@@ -191,15 +194,14 @@ def test_batch_replay_matches_per_op(seed):
 
     batch_registry = MetricRegistry()
     batch = ArrayMatchingEngine(metrics=batch_registry)
-    session = ReplaySession(batch, SYMBOL)
-    play(session, rows)
-    session.commit()
+    kernel = batch.kernel(SYMBOL)
+    play(kernel, rows)
     assert batch_registry.public_snapshot() == per_op_registry.public_snapshot()
     assert (
-        session.n_fills,
-        session.traded_quantity,
-        session.notional,
-        session.rejected,
+        kernel.n_fills,
+        kernel.traded_quantity,
+        kernel.notional,
+        kernel.rejected,
     ) == totals
     assert batch._sequence == per_op._sequence == reference._sequence
     for engine in (per_op, reference):
@@ -208,35 +210,148 @@ def test_batch_replay_matches_per_op(seed):
     assert not batch.book(SYMBOL).is_crossed()
 
 
-def test_per_op_calls_work_after_a_batch():
-    # The session checks arrays out into plain lists and commits them
-    # back; per-op calls on the same book must keep working.
-    engine = ArrayMatchingEngine()
-    session = ReplaySession(engine, SYMBOL)
-    play(session, valid_rows(make_stream(5)))
-    session.commit()
-    probe = Order(side=Side.BID, price=2, quantity=3, order_id=10**9, owner="after")
-    engine.submit(SYMBOL, probe, 1)
-    assert probe.order_id in engine.book(SYMBOL)
-    engine.cancel(SYMBOL, probe.order_id, 2)
-    assert probe.order_id not in engine.book(SYMBOL)
+@pytest.mark.parametrize("seed", [5, 13])
+def test_interleaved_per_op_and_int_ops_match_oracle(seed):
+    # One engine takes each op through a randomly chosen surface; the
+    # oracle replays the same stream per op.  Per-op results after int
+    # ops must still number their events from the shared sequence.
+    rows = valid_rows(make_stream(seed))
+    rng = np.random.default_rng(seed)
+    registry = MetricRegistry()
+    engine = ArrayMatchingEngine(metrics=registry)
+    kernel = engine.kernel(SYMBOL)
+    reference_registry = MetricRegistry()
+    reference = MatchingEngine(metrics=reference_registry)
+    for i, row in enumerate(rows):
+        ref = apply_op(reference, row, timestamp=i)
+        if rng.uniform() < 0.5:
+            play(kernel, [row], timestamp=i)
+        else:
+            arr = apply_op(engine, row, timestamp=i)
+            assert (arr.accepted, arr.fills, arr.events) == (
+                ref.accepted,
+                ref.fills,
+                ref.events,
+            ), (i, row)
+        assert engine._sequence == reference._sequence, (i, row)
+    assert registry.public_snapshot() == reference_registry.public_snapshot()
+    assert len(engine.book(SYMBOL)) == len(reference.book(SYMBOL))
+    assert engine.book(SYMBOL).bids.top(25) == reference.book(SYMBOL).bids.top(25)
+    assert engine.book(SYMBOL).asks.top(25) == reference.book(SYMBOL).asks.top(25)
 
 
-def test_failed_batch_leaves_book_untouched():
-    engine = ArrayMatchingEngine()
-    engine.submit(
-        SYMBOL, Order(side=Side.BID, price=100, quantity=5, order_id=1), 0
+def book_state(engine):
+    """A deep copy of the book's columns, id map and level lists, plus
+    the engine's sequence."""
+    book = engine.book(SYMBOL)
+    slab = book.slab
+    columns = (
+        slab.order_id,
+        slab.price,
+        slab.qty,
+        slab.qty_orig,
+        slab.side,
+        slab.owner,
+        slab.entry_time,
+        slab.otype,
+        slab.tif,
+        slab.nxt,
+        slab.prv,
+        slab._free,
     )
-    before_bids = engine.book(SYMBOL).bids.top(5)
-    bad = [
-        (OP_SUBMIT, int(Side.ASK), 0, 0, 105, 5, 2),
-        (OP_CANCEL, 0, 0, 0, 0, 0, 999),  # unknown order: raises
+    levels = [
+        getattr(side, name)
+        for side in (book.bids, book.asks)
+        for name in ("prices", "volume", "head", "tail", "count")
     ]
-    with pytest.raises(OrderBookError):
-        play(ReplaySession(engine, SYMBOL), bad)  # never committed
-    assert engine.book(SYMBOL).bids.top(5) == before_bids
-    assert engine.book(SYMBOL).asks.top(5) == []  # ask from op 1 rolled back
-    assert 2 not in engine.book(SYMBOL)
+    return copy.deepcopy(
+        (columns, slab.in_use, slab.capacity, book._id_slot, levels, engine._sequence)
+    )
+
+
+class _Surface:
+    """The per-op API or the kernel's int ops, behind one call shape."""
+
+    def __init__(self, engine, per_op):
+        self.engine = engine
+        self.per_op = per_op
+        self.kernel = engine.kernel(SYMBOL)
+
+    def cancel(self, order_id):
+        if self.per_op:
+            self.engine.cancel(SYMBOL, order_id, 1)
+        else:
+            self.kernel.cancel(order_id)
+
+    def replace(self, order_id, price, qty):
+        if self.per_op:
+            self.engine.replace(
+                SYMBOL, order_id, 1, new_price=price or None, new_quantity=qty or None
+            )
+        else:
+            self.kernel.replace(order_id, price, qty, 1)
+
+    def submit_fok(self, side, otype, price, qty):
+        """Submit an FOK order; True when it was rejected."""
+        row = (OP_SUBMIT, side, otype, int(TimeInForce.FOK), price, qty, 10**9)
+        if self.per_op:
+            result = apply_op(self.engine, row, timestamp=1)
+            assert not result.fills and not result.events
+            return not result.accepted
+        rejected = self.kernel.rejected
+        play(self.kernel, [row], timestamp=1)
+        assert self.kernel.op_filled == 0 and not self.kernel.op_rested
+        return self.kernel.rejected == rejected + 1
+
+
+@pytest.mark.parametrize("per_op", [True, False], ids=["per_op", "int_ops"])
+@pytest.mark.parametrize("seed", [7, 29])
+def test_raising_and_rejected_ops_leave_the_book_untouched(seed, per_op):
+    # Every raising case and an FOK shortfall are checked before any
+    # write, so each op is atomic on its own, on either surface.
+    rows = valid_rows(make_stream(seed, n_ops=1200))
+    rng = np.random.default_rng(seed)
+    registry = MetricRegistry()
+    engine = ArrayMatchingEngine(metrics=registry)
+    surface = _Surface(engine, per_op)
+    probes = 0
+    for row in rows:
+        if per_op:
+            apply_op(engine, row)
+        else:
+            play(surface.kernel, [row])
+        if rng.uniform() >= 0.05:
+            continue
+        probes += 1
+        book = engine.book(SYMBOL)
+        before = book_state(engine)
+        snapshot = registry.public_snapshot()
+        unknown = 10**9 + probes
+        with pytest.raises(OrderBookError):
+            surface.cancel(unknown)
+        with pytest.raises(OrderBookError):
+            surface.replace(unknown, 100, 1)
+        if len(book):
+            live = next(iter(book._id_slot))
+            with pytest.raises(MatchingError):
+                surface.replace(live, 0, 0)
+            if per_op:  # an invalid replacement is refused before the cancel
+                with pytest.raises(OrderBookError):
+                    engine.replace(SYMBOL, live, 1, new_price=-1)
+        assert book_state(engine) == before
+        assert registry.public_snapshot() == snapshot
+
+        # An FOK order for more than the whole opposite side.
+        side = int(rng.integers(0, 2))
+        opposite = book.asks if side == int(Side.BID) else book.bids
+        otype = int(rng.integers(0, 2))
+        price = 105 if side == int(Side.BID) else 95
+        assert surface.submit_fok(side, otype, price, opposite.total_volume() + 1)
+        assert book_state(engine) == before
+        expected = copy.deepcopy(snapshot)
+        expected["counters"]["lob.orders"] += 1
+        assert registry.public_snapshot() == expected
+    assert probes >= 10
 
 
 def _tape_digest(tmp_path, engine):

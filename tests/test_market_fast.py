@@ -1,13 +1,13 @@
-"""The market generator: byte-identical, atomic, cached.
+"""The market generator: byte-identical and atomic.
 
-The contract under test: the batch-kernel generation loop (agents plan
-plain-int ops on a :class:`~repro.lob.array_matching.ReplaySession`)
+The contract under test: the generation loop (agents send plain-int ops
+to the live book's :class:`~repro.lob.array_matching.MatchingKernel`)
 must produce **byte-identical** tick tapes to the per-op reference loop
 in ``tests/oracles/market.py``, on either book engine, for any seed —
 plus pinned tape digests, the RNG-stream equivalences that identity
-rests on, crash atomicity at chunk granularity, metric-registry parity,
-and the two-level tick-tape cache (memory + npz) that campaign probes
-reuse.
+rests on, per-op atomicity (a raising agent op leaves the book as the
+previous op left it), metric-registry parity, and the campaign's
+book-integrity probe generating its tape twice.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from repro.errors import OrderBookError
 from repro.lob.array_matching import ArrayMatchingEngine
 from repro.market.agents import Agent, AgentMix, default_mix
 from repro.market.generator import MarketConfig, MarketSimulator, generate_session
-from repro.market.tape_cache import (
-    cached_session,
-    clear_tape_cache,
-    tape_cache_key,
-)
 from repro.metrics import MetricRegistry
 from tests.oracles.market import ReferenceMarketSimulator, reference_session, sample
 from tests.oracles.matching import MatchingEngine
@@ -40,13 +35,6 @@ PINNED_TAPES = {
     11: (238, "324d5206af7e80a2e30f034448c6e206b524a0222930ccf127c749744382cb6d"),
     27: (192, "e88de215ad0f497ee1da73b7d0d0e16300029a359e44b153a2c34581410993c0"),
 }
-
-
-@pytest.fixture(autouse=True)
-def fresh_tape_cache():
-    clear_tape_cache()
-    yield
-    clear_tape_cache()
 
 
 def tape_sha256(tmp_path, tape, label: str) -> str:
@@ -136,15 +124,15 @@ def test_mix_cdf_inverts_choice_probabilities():
 
 
 # ---------------------------------------------------------------------------
-# atomicity: a raising agent op leaves the book at the last commit
+# atomicity: a raising agent op leaves the book as the previous op left it
 # ---------------------------------------------------------------------------
 
 
 class _BombAgent(Agent):
-    """Plans an op the kernel must reject (cancel of an unknown id)."""
+    """Sends an op the kernel must refuse (cancel of an unknown id)."""
 
     def act_fast(self, fctx, timestamp, rng):
-        fctx.session.cancel(999_999_999)
+        fctx.kernel.cancel(999_999_999)
         return True
 
 
@@ -159,7 +147,7 @@ def test_rejected_agent_op_is_atomic(monkeypatch):
     )
     with pytest.raises(OrderBookError):
         sim.generate(1.0)
-    # The uncommitted session is discarded: the book still holds exactly
+    # The cancel raises before it writes: the book still holds exactly
     # the per-op seeded ladder, and the sequence stops at the seed ops.
     book = engine.book(config.symbol)
     assert book.bids.top(config.seed_levels) == [
@@ -181,70 +169,25 @@ def test_rejected_agent_op_is_atomic(monkeypatch):
 
 def test_metric_registry_parity():
     snapshots = []
-    for simulator in (ReferenceMarketSimulator, MarketSimulator):
+    simulators = (
+        ReferenceMarketSimulator,
+        lambda *a, **kw: ReferenceMarketSimulator(*a, engine=MatchingEngine, **kw),
+        MarketSimulator,
+    )
+    for simulator in simulators:
         registry = MetricRegistry()
         simulator(MarketConfig(), seed=5, metrics=registry).generate(1.0)
         snapshots.append(registry.public_snapshot())
-    assert snapshots[0] == snapshots[1]
+    assert snapshots[0] == snapshots[1] == snapshots[2]
     assert snapshots[0]["counters"]["lob.orders"] > 0
 
 
 # ---------------------------------------------------------------------------
-# tick-tape cache: hit/miss byte-equality at both levels
+# campaign probe: two independent generations
 # ---------------------------------------------------------------------------
 
 
-def test_memory_cache_returns_same_tape_object():
-    first = cached_session(duration_s=0.6, seed=7)
-    assert cached_session(duration_s=0.6, seed=7) is first
-    assert cached_session(duration_s=0.6, seed=8) is not first
-
-
-def test_disk_cache_roundtrips_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TAPE_CACHE", str(tmp_path / "tapes"))
-    fresh = generate_session(duration_s=0.6, seed=7)
-    stored = cached_session(duration_s=0.6, seed=7)  # miss: generate + store
-    clear_tape_cache()
-    loaded = cached_session(duration_s=0.6, seed=7)  # hit: npz round-trip
-    assert loaded is not stored
-    assert tape_sha256(tmp_path, loaded, "loaded") == tape_sha256(
-        tmp_path, stored, "stored"
-    ) == tape_sha256(tmp_path, fresh, "fresh")
-    key = tape_cache_key(MarketConfig(), 7, 0.6, None)
-    assert (tmp_path / "tapes" / f"tape-ESU6-{key}.npz").exists()
-
-
-def test_corrupt_disk_entry_regenerates(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_TAPE_CACHE", str(tmp_path / "tapes"))
-    good = cached_session(duration_s=0.6, seed=7)
-    key = tape_cache_key(MarketConfig(), 7, 0.6, None)
-    path = tmp_path / "tapes" / f"tape-ESU6-{key}.npz"
-    path.write_bytes(b"not an npz file")
-    clear_tape_cache()
-    regenerated = cached_session(duration_s=0.6, seed=7)
-    assert tape_sha256(tmp_path, regenerated, "regen") == tape_sha256(
-        tmp_path, good, "good"
-    )
-
-
-def test_cache_key_separates_parameters():
-    config = MarketConfig()
-    keys = {
-        tape_cache_key(config, 7, 0.6, None),
-        tape_cache_key(config, 8, 0.6, None),
-        tape_cache_key(config, 7, 0.7, None),
-        tape_cache_key(config, 7, 0.6, 100),
-        tape_cache_key(MarketConfig(symbol="NQU6"), 7, 0.6, None),
-    }
-    assert len(keys) == 5
-
-
-# ---------------------------------------------------------------------------
-# campaign probe rides the cache
-# ---------------------------------------------------------------------------
-
-
-def test_book_integrity_probe_uses_tape_cache(monkeypatch):
+def test_book_integrity_probe_generates_twice(monkeypatch):
     from repro.campaign.probes import book_integrity_probe
 
     calls = []
@@ -255,10 +198,9 @@ def test_book_integrity_probe_uses_tape_cache(monkeypatch):
         return original(self, duration_s, max_ticks)
 
     monkeypatch.setattr(MarketSimulator, "generate", counting)
-    report = book_integrity_probe(seed=3, duration_s=0.4)
-    assert report["checksum"] == report["checksum_repeat"]
-    assert report["violations"] == []
-    assert len(calls) == 2  # cold: one cached pass + one fresh pass
-    report = book_integrity_probe(seed=3, duration_s=0.4)
-    assert report["checksum"] == report["checksum_repeat"]
-    assert len(calls) == 3  # warm: cache hit + the always-fresh pass
+    for expected_calls in (2, 4):
+        report = book_integrity_probe(seed=3, duration_s=0.4)
+        assert len(calls) == expected_calls
+        assert report["checksum"] == report["checksum_repeat"]
+        assert report["ticks"] == report["ticks_repeat"] > 0
+        assert report["violations"] == []
