@@ -17,7 +17,7 @@ from repro.bench import (
     render_table,
     run_many,
 )
-from repro.sim import Backtester, SimConfig, cached_synthetic_workload
+from repro.sim import Backtester, SimConfig, synthetic_workload
 from repro.sim.workload import (
     FixedDeadline,
     HorizonDeadline,
@@ -32,11 +32,15 @@ def profile():
     return lighttrader_profile()
 
 
-@pytest.fixture(scope="module")
-def workload():
-    return cached_synthetic_workload(
+def _ablation_spec() -> WorkloadSpec:
+    return WorkloadSpec(
         duration_s=min(bench_duration_s(), 60.0), seed=3, name="ablation"
     )
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return _ablation_spec().build()
 
 
 class TestMetricAblation:
@@ -55,9 +59,7 @@ class TestMetricAblation:
                     workload_scheduling=True,
                     scheduler_metric=metric,
                 ),
-                workload=WorkloadSpec(
-                    duration_s=min(bench_duration_s(), 60.0), seed=3, name="ablation"
-                ),
+                workload=_ablation_spec(),
                 run_name=f"ablation-metric-{metric}",
             )
             for metric in metrics
@@ -103,7 +105,7 @@ class TestDeadlineAblation:
         def run_all():
             rows.clear()
             for name, policy in policies.items():
-                wl = cached_synthetic_workload(
+                wl = synthetic_workload(
                     duration_s=min(bench_duration_s(), 30.0),
                     policy=policy,
                     seed=3,
@@ -154,7 +156,7 @@ class TestBurstinessAblation:
                     ),
                     episode_weights=(0.486, 0.192, 0.324),
                 )
-                wl = cached_synthetic_workload(
+                wl = synthetic_workload(
                     duration_s=min(bench_duration_s(), 30.0),
                     spec=spec,
                     seed=3,

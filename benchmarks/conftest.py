@@ -1,9 +1,11 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the figure and table drivers.
 
-Each benchmark regenerates one paper table/figure via
-:mod:`repro.bench.experiments`, times the run with pytest-benchmark,
+Each driver regenerates one paper table/figure (or one ablation) via
+:mod:`repro.bench.experiments`, runs it under pytest-benchmark,
 prints the rendered table, and writes it to ``benchmarks/results/`` so
-EXPERIMENTS.md can be assembled from the same artifacts.
+EXPERIMENTS.md can be assembled from the same artifacts.  The drivers
+reproduce results, not speed: wall-clock speed is measured by
+``python3 perfbench/run.py`` against the bounds in ``BENCHMARK.json``.
 
 Workload sizing: REPRO_BENCH_DURATION (seconds of simulated market time,
 default 60) controls simulation length; the calibration targets in

@@ -33,7 +33,6 @@ from repro.nn.models import benchmark_models, complexity_sweep
 from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.metrics import RunResult
 from repro.sim.workload import QueryWorkload
-from repro.sim.workload_cache import cached_synthetic_workload
 from repro.telemetry import run_telemetry
 
 MODELS = ("vanilla_cnn", "translob", "deeplob")
@@ -68,13 +67,10 @@ def bench_duration_s(default: float = 60.0) -> float:
 def headline_workload(duration_s: float | None = None, seed: int = 1) -> QueryWorkload:
     """The calibrated traffic used by every headline experiment.
 
-    Served through the workload cache: one generation per process per
-    (duration, seed), plus on-disk reuse when ``REPRO_WORKLOAD_CACHE``
-    is set.
+    Built through the :class:`WorkloadSpec` memo: one generation per
+    process per (duration, seed).
     """
-    return cached_synthetic_workload(
-        duration_s=duration_s or bench_duration_s(), seed=seed, name="headline"
-    )
+    return _headline_spec(duration_s, seed).build()
 
 
 def _headline_spec(duration_s: float | None, seed: int) -> WorkloadSpec:

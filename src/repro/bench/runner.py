@@ -19,9 +19,9 @@ deterministic default) or across a process pool, with
   crash persists, reported as per-run :class:`RunFailure` placeholders
   with every other result intact.
 
-Workers rebuild workloads through the workload cache (one generation per
-process at most; zero with ``REPRO_WORKLOAD_CACHE``) and reuse one
-profile per process so sweep grids amortise across the grid's runs.
+Each process generates a :class:`WorkloadSpec`'s workload once and
+shares it across the runs that name the spec, and reuses one profile
+per process so sweep grids amortise across the grid's runs.
 
 ``--jobs`` surfaces in the drivers; ``REPRO_BENCH_JOBS`` sets the
 process-wide default (1 = serial).
@@ -48,8 +48,7 @@ from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.metrics import RunResult
-from repro.sim.workload import TrafficSpec
-from repro.sim.workload_cache import cached_synthetic_workload
+from repro.sim.workload import QueryWorkload, TrafficSpec, synthetic_workload
 from repro.telemetry import run_telemetry
 
 __all__ = [
@@ -94,6 +93,10 @@ _PROFILE_FACTORIES = {
 # then shared by every run the worker executes.
 _profiles: dict[str, SystemProfile] = {}
 
+# One workload per (process, spec).  QueryWorkload is immutable, so the
+# runs that name one spec share the instance.
+_workloads: dict[WorkloadSpec, QueryWorkload] = {}
+
 
 def default_jobs() -> int:
     """Worker count: ``REPRO_BENCH_JOBS`` or 1 (serial)."""
@@ -112,13 +115,13 @@ def default_timeout_s() -> float:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Parameters of one cached synthetic workload.
+    """Parameters of one synthetic workload.
 
     ``traffic`` overrides the calibrated default :class:`TrafficSpec`
     (scenario campaigns shape flash-crash bursts or thin-liquidity opens
-    this way); ``None`` keeps the headline calibration.  The spec stays
-    frozen/hashable, so it remains a workload-cache key and pickles to
-    pool workers unchanged.
+    this way); ``None`` keeps the headline calibration.  The spec is
+    frozen and hashable: it is the key of the per-process workload memo,
+    and it pickles to pool workers unchanged.
     """
 
     duration_s: float
@@ -126,11 +129,15 @@ class WorkloadSpec:
     name: str = "headline"
     traffic: TrafficSpec | None = None
 
-    def build(self):
-        kwargs = {} if self.traffic is None else {"spec": self.traffic}
-        return cached_synthetic_workload(
-            duration_s=self.duration_s, seed=self.seed, name=self.name, **kwargs
-        )
+    def build(self) -> QueryWorkload:
+        """The spec's workload, generated once per process."""
+        workload = _workloads.get(self)
+        if workload is None:
+            kwargs = {} if self.traffic is None else {"spec": self.traffic}
+            workload = _workloads[self] = synthetic_workload(
+                duration_s=self.duration_s, seed=self.seed, name=self.name, **kwargs
+            )
+        return workload
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,7 @@ def run_many(
 
     ``jobs=None`` reads ``REPRO_BENCH_JOBS``; 1 runs inline with no pool
     (bit-for-bit the serial path).  Each worker is warm across its share
-    of the grid — profiles, sweep grids and cached workloads persist for
+    of the grid — profiles, sweep grids and built workloads persist for
     the pool's lifetime.  ``worker`` swaps the per-spec work item (the
     campaign harness runs richer evidence-collecting items through the
     same pool machinery); it must be a picklable module-level callable.
@@ -236,14 +243,6 @@ def run_many(
     timeout = default_timeout_s() if timeout_s is None else max(0.0, float(timeout_s))
     if jobs == 1 or len(specs) <= 1:
         return [worker(spec) for spec in specs]
-    # Build each distinct workload once in the parent before forking:
-    # children then inherit the populated cache copy-on-write instead of
-    # regenerating per worker (a no-op on spawn platforms).
-    for workload_spec in dict.fromkeys(
-        getattr(spec, "workload", None) for spec in specs
-    ):
-        if workload_spec is not None:
-            workload_spec.build()
     results: "dict[int, RunResult | RunFailure]" = {}
     pending = list(range(len(specs)))
     attempts = 0

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import envcfg
-from repro.bench.runner import RunFailure, WorkloadSpec, profile_for, run_many
+from repro.bench.runner import RunFailure, profile_for, run_many
 from repro.campaign import scenarios as scenario_registry
 from repro.campaign.invariants import (
     BUILTIN_INVARIANTS,
@@ -64,9 +64,7 @@ DETERMINISM = "determinism"
 class CampaignRunSpec:
     """One (scenario, seed, pass) work item for the process pool.
 
-    Carries the pre-resolved seed and workload spec so the parent can
-    warm the workload cache before forking (``run_many`` reads the
-    ``workload`` attribute), and the worker lowers the scenario to the
+    Carries the pre-resolved seed; the worker lowers the scenario to the
     byte-identical run.
     """
 
@@ -76,7 +74,6 @@ class CampaignRunSpec:
     trace_dir: str | None
     run_name: str
     pass_index: int = 0
-    workload: WorkloadSpec | None = None
 
 
 def plan_runs(
@@ -101,7 +98,6 @@ def plan_runs(
                     trace_dir=trace_dir,
                     run_name=f"{name}-s{seed}{suffix}",
                     pass_index=pass_index,
-                    workload=spec.workload_spec(duration_s, seed),
                 )
             )
     return specs

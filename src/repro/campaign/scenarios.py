@@ -299,9 +299,10 @@ class ScenarioSpec:
     ) -> tuple[RunSpec, int]:
         """Lower to a bench :class:`RunSpec` at ``base_seed + offset``.
 
-        Building the workload here (through the cache) is what lets the
-        feed-fault Bernoulli draws know ``n_ticks``; the cache hands the
-        identical instance to the run itself.
+        Building the workload here (through the :class:`WorkloadSpec`
+        memo) is what lets the feed-fault Bernoulli draws know
+        ``n_ticks``; the memo hands the identical instance to the run
+        itself.
         """
         seed = int(base_seed) + self.seed_offset
         workload_spec = self.workload_spec(duration_s, seed)

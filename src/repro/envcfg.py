@@ -107,16 +107,6 @@ TRACE_LEVEL = _declare(
     )
 )
 
-WORKLOAD_CACHE = _declare(
-    EnvVar(
-        "REPRO_WORKLOAD_CACHE",
-        "path",
-        None,
-        "Directory for the on-disk (.npz) synthetic-workload cache; "
-        "unset keeps caching in-memory only.",
-    )
-)
-
 BENCH_JOBS = _declare(
     EnvVar(
         "REPRO_BENCH_JOBS",
@@ -144,8 +134,9 @@ BENCH_DURATION = _declare(
         "REPRO_BENCH_DURATION",
         "float",
         60.0,
-        "Simulated market seconds per benchmark workload (figures use "
-        "300 for full fidelity, CI uses 6 for the smoke run).",
+        "Simulated market seconds per workload in the figure and table "
+        "drivers under benchmarks/ (the figures use 300 for full "
+        "fidelity; shorter runs trade fidelity for time).",
         minimum=0.0,
     )
 )

@@ -14,11 +14,6 @@ from repro.sim.workload import (
     TrafficSpec,
     synthetic_workload,
 )
-from repro.sim.workload_cache import (
-    WORKLOAD_CACHE_ENV,
-    cached_synthetic_workload,
-    clear_workload_cache,
-)
 
 __all__ = [
     "Backtester",
@@ -36,9 +31,6 @@ __all__ = [
     "SimConfig",
     "SimulationError",
     "TrafficSpec",
-    "WORKLOAD_CACHE_ENV",
-    "cached_synthetic_workload",
-    "clear_workload_cache",
     "run_lighttrader",
     "synthetic_workload",
 ]

@@ -58,19 +58,10 @@ class ReferenceQueue(OffloadEngine):
         self.dropped_unschedulable = 0
 
     def admit(self, query: Query) -> None:
-        """Append ``query``, maintaining the stale-scan deadline bound.
-
-        The append is inline rather than a ``super()`` call, which would
-        slow the reference loop that ``benchmarks/bench_sim_speed.py``
-        times against the shipping one.
-        """
+        """Append ``query``, maintaining the stale-scan deadline bound."""
         if not self._pending or query.deadline < self._min_deadline_bound:
             self._min_deadline_bound = query.deadline
-        self._pending.append(query)
-        self.admitted += 1
-        depth = len(self._pending)
-        if depth > self.queue_depth_high_water:
-            self.queue_depth_high_water = depth
+        super().admit(query)
 
     def peek_pending(self) -> Query | None:
         """The oldest pending query, if any."""

@@ -140,9 +140,8 @@ class MatchingEngine:
         old = book.find(order_id)
         if new_price is None and new_quantity is None:
             raise MatchingError(f"replace of order {order_id} changes nothing")
-        book.remove(order_id)
-        cancel_event = self._level_update(book, old.side, old.price, timestamp)
-
+        # Built before the cancel, so an invalid replacement raises with
+        # the order still resting.
         replacement = Order(
             side=old.side,
             price=new_price if new_price is not None else old.price,
@@ -153,6 +152,8 @@ class MatchingEngine:
             owner=old.owner,
             entry_time=timestamp,
         )
+        book.remove(order_id)
+        cancel_event = self._level_update(book, old.side, old.price, timestamp)
         self._m_replaces.inc()
         result = self.submit(symbol, replacement, timestamp)
         result.events.insert(0, cancel_event)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import os
 
+import numpy as np
 import pytest
 
 from repro.bench.runner import (
@@ -16,6 +17,7 @@ from repro.bench.runner import (
 )
 from repro.errors import SimulationError
 from repro.sim.backtest import SimConfig
+from repro.sim.workload import synthetic_workload
 
 DURATION = 2.0
 
@@ -298,6 +300,31 @@ def test_pool_broken_at_submit_is_contained(monkeypatch, retries):
         assert [type(r) for r in results[2:]] == [RunFailure, RunFailure]
         assert [r.spec_index for r in results[2:]] == [2, 3]
         assert len(submits) == 3  # nothing submitted after the pool broke
+
+
+def test_workload_spec_matches_direct_generation():
+    spec = WorkloadSpec(duration_s=DURATION, seed=5, name="memo-test")
+    built = spec.build()
+    direct = synthetic_workload(DURATION, seed=5, name="memo-test")
+    np.testing.assert_array_equal(built.timestamps, direct.timestamps)
+    np.testing.assert_array_equal(built.deadlines, direct.deadlines)
+    assert built.name == direct.name
+
+
+def test_workload_spec_builds_once_per_process():
+    spec = WorkloadSpec(duration_s=DURATION, seed=5, name="memo-test")
+    first = spec.build()
+    # An equal spec is the same key: no regeneration, no copy.
+    assert dataclasses.replace(spec).build() is first
+
+
+def test_workload_memo_separates_specs():
+    base = WorkloadSpec(duration_s=DURATION, seed=5, name="memo-test")
+    other_seed = dataclasses.replace(base, seed=6).build()
+    other_duration = dataclasses.replace(base, duration_s=DURATION + 1.0).build()
+    assert other_seed is not base.build()
+    assert not np.array_equal(other_seed.timestamps, base.build().timestamps)
+    assert len(other_duration) != len(base.build())
 
 
 def test_workload_spec_traffic_override():

@@ -34,7 +34,6 @@ def test_registry_contents_and_defaults():
     assert set(by_name) == {
         "REPRO_TRACE_DIR",
         "REPRO_TRACE_LEVEL",
-        "REPRO_WORKLOAD_CACHE",
         "REPRO_BENCH_JOBS",
         "REPRO_BENCH_RETRIES",
         "REPRO_BENCH_DURATION",

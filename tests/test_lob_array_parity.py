@@ -6,13 +6,14 @@ bit-exact against the object-per-order reference in ``tests/oracles/``:
 same fills (prices, quantities, maker ids and owners), same
 :class:`MarketEvent` stream with the same sequence numbers, same books
 afterwards.  These tests drive seeded randomized op streams
-(submit/cancel/replace across order types and TIFs) through both
-engines per-op, through the :class:`MatchingKernel`'s integer ops on the
-live book, and through both surfaces interleaved on one engine; they
-check that every raising or rejected op leaves the book, the sequence
-and the metrics as they were, and that the reference market generator
-writes byte-identical tapes on either engine — the same checks the
-lob-parity CI gate runs.
+(submit/cancel/replace across order types and TIFs, and replaces to a
+non-positive price) through both engines per-op, through the
+:class:`MatchingKernel`'s integer ops on the live book, and through both
+surfaces interleaved on one engine; they check that every raising or
+rejected op leaves the book, the sequence and the metrics as they were,
+pin the results of one 20k-op stream as literals, and check that the
+reference market generator writes byte-identical tapes on either engine
+— the same checks the lob-parity CI gate runs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ SYMBOL = "ES"
 OP_SUBMIT = 0
 OP_CANCEL = 1
 OP_REPLACE = 2
+# A replace to the non-positive price in the row's price field: it
+# raises, and the order stays resting.
+OP_BAD_REPLACE = 3
 
 
 def make_stream(seed: int, n_ops: int = 2500) -> list[tuple[int, ...]]:
@@ -48,7 +52,8 @@ def make_stream(seed: int, n_ops: int = 2500) -> list[tuple[int, ...]]:
 
     Order ids are assigned explicitly so both engines see identical ids.
     Roughly 70% submits (a mix of LIMIT and MARKET across DAY/IOC/FOK),
-    15% cancels and 15% replaces of orders that may still be resting.
+    15% cancels and 15% replaces of orders that may still be resting,
+    one in ten of those to a non-positive price.
     """
     rng = np.random.default_rng(seed)
     rows: list[tuple[int, ...]] = []
@@ -75,6 +80,10 @@ def make_stream(seed: int, n_ops: int = 2500) -> list[tuple[int, ...]]:
             rows.append((OP_CANCEL, 0, 0, 0, 0, 0, victim))
         else:
             target = live[int(rng.integers(0, len(live)))]
+            if rng.uniform() < 0.1:
+                bad_price = -int(rng.integers(0, 2))
+                rows.append((OP_BAD_REPLACE, 0, 0, 0, bad_price, 0, target))
+                continue
             new_price = int(rng.integers(95, 106)) if rng.uniform() < 0.7 else 0
             new_qty = (
                 int(rng.integers(1, 12))
@@ -103,6 +112,8 @@ def apply_op(engine, row, timestamp=0):
         return engine.submit(SYMBOL, order, timestamp)
     if kind == OP_CANCEL:
         return engine.cancel(SYMBOL, order_id, timestamp)
+    if kind == OP_BAD_REPLACE:
+        return engine.replace(SYMBOL, order_id, timestamp, new_price=price)
     return engine.replace(
         SYMBOL,
         order_id,
@@ -115,8 +126,9 @@ def apply_op(engine, row, timestamp=0):
 def valid_rows(rows):
     """Filter ``rows`` to the ops the reference engine accepts as legal.
 
-    Cancels/replaces of orders that already traded away raise — drop
-    those rows so every remaining op is applied by both engines.
+    Cancels/replaces of orders that already traded away and replaces to
+    a non-positive price raise — drop those rows so every remaining op
+    is applied by both engines.
     """
     engine = MatchingEngine()
     kept = []
@@ -129,17 +141,27 @@ def valid_rows(rows):
     return kept
 
 
+def outcome(engine, row):
+    """``row``'s result (accepted, fills, events), or the type it raised."""
+    try:
+        result = apply_op(engine, row)
+    except (OrderBookError, MatchingError) as exc:
+        return type(exc)
+    return result.accepted, result.fills, result.events
+
+
 @pytest.mark.parametrize("seed", [7, 11, 42])
 def test_per_op_differential_parity(seed):
-    rows = valid_rows(make_stream(seed))
+    # The unfiltered stream: ops on orders that traded away and replaces
+    # to a non-positive price raise in both engines and write nothing.
+    rows = make_stream(seed)
+    assert any(row[0] == OP_BAD_REPLACE for row in rows)
     reference = MatchingEngine()
     array = ArrayMatchingEngine()
     for i, row in enumerate(rows):
-        ref = apply_op(reference, row)
-        arr = apply_op(array, row)
-        assert arr.accepted == ref.accepted, (i, row)
-        assert arr.fills == ref.fills, (i, row)
-        assert arr.events == ref.events, (i, row)  # includes sequences
+        # Events carry their sequence numbers.
+        assert outcome(array, row) == outcome(reference, row), (i, row)
+        assert array._sequence == reference._sequence, (i, row)
         assert not array.book(SYMBOL).is_crossed()
         if i % 100 == 0:
             ref_book = reference.book(SYMBOL)
@@ -208,6 +230,67 @@ def test_batch_replay_matches_per_op(seed):
         assert batch.book(SYMBOL).bids.top(25) == engine.book(SYMBOL).bids.top(25)
         assert batch.book(SYMBOL).asks.top(25) == engine.book(SYMBOL).asks.top(25)
     assert not batch.book(SYMBOL).is_crossed()
+
+
+def submit_cancel_stream(seed: int, n_ops: int) -> list[tuple[int, ...]]:
+    """A seeded stream of 80% LIMIT DAY/IOC submits and 20% cancels."""
+    rng = np.random.default_rng(seed)
+    rows: list[tuple[int, ...]] = []
+    live: list[int] = []
+    oid = 0
+    for _ in range(n_ops):
+        if rng.uniform() < 0.8 or not live:
+            oid += 1
+            tif = int(rng.choice([0, 1], p=[0.7, 0.3]))
+            side = int(rng.integers(0, 2))
+            price = int(rng.integers(95, 106))
+            qty = int(rng.integers(1, 10))
+            rows.append((OP_SUBMIT, side, 0, tif, price, qty, oid))
+            if tif == int(TimeInForce.DAY):
+                live.append(oid)
+        else:
+            victim = live.pop(int(rng.integers(0, len(live))))
+            rows.append((OP_CANCEL, 0, 0, 0, 0, 0, victim))
+    return rows
+
+
+def test_pinned_stream_results():
+    # Seed 1, 20,000 ops before filtering: the book's metrics and the
+    # kernel's totals are literals, so any change in what the book does
+    # on this stream fails here.
+    rows = valid_rows(submit_cancel_stream(seed=1, n_ops=20_000))
+    registry = MetricRegistry()
+    per_op = ArrayMatchingEngine(metrics=registry)
+    for row in rows:
+        apply_op(per_op, row)
+    assert registry.public_snapshot() == {
+        "counters": {
+            "lob.cancels": 537,
+            "lob.fills": 10_372,
+            "lob.orders": 15_999,
+            "lob.replaces": 0,
+        },
+        "gauges": {
+            "lob.levels_high_water": {"value": 9, "max": 11},
+            "lob.slab_occupancy_high_water": {"value": 834, "max": 836},
+        },
+        "histograms": {},
+    }
+    replayed = ArrayMatchingEngine()
+    kernel = replayed.kernel(SYMBOL)
+    play(kernel, rows)
+    totals = (
+        len(rows),
+        kernel.n_fills,
+        kernel.traded_quantity,
+        kernel.notional,
+        kernel.rejected,
+        replayed._sequence,
+    )
+    assert totals == (16_536, 10_372, 28_960, 2_895_479, 0, 24_703)
+    assert per_op._sequence == replayed._sequence
+    assert replayed.book(SYMBOL).bids.top(25) == per_op.book(SYMBOL).bids.top(25)
+    assert replayed.book(SYMBOL).asks.top(25) == per_op.book(SYMBOL).asks.top(25)
 
 
 @pytest.mark.parametrize("seed", [5, 13])

@@ -9,7 +9,13 @@ optimisation of the heap pumps of
 query trace must match the reference loop bit for bit.  These tests pin
 that contract over a seeded matrix of scheduling schemes, traffic
 presets, system profiles, queue-overflow pressure, a deterministic
-fault plan, and every trace level.
+fault plan, every trace level, and the Fig. 11 and Fig. 13 grids.
+
+The canonical pinned run (6 s of headline traffic, seed 1, DeepLOB,
+N=2, WS+DS, limited power) is held to its committed manifest
+``benchmarks/results/run_manifest_baseline.json`` and to ceilings on
+the shipping loop's work counts.  Counts, not wall-clock: the loop's
+speed is perfbench's ``queries_per_s``.
 
 Regression anchor: a saturated single accelerator under DVFS scheduling,
 where the reference loop re-runs the (non-exhaustive) Algorithm-2
@@ -20,15 +26,21 @@ swallow those passes (see the drain gate in ``_run_lighttrader_fast``).
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.bench.runner
 from repro.accelerator.power import DVFSTable
 from repro.baselines.profiles import fpga_profile, gpu_profile, lighttrader_profile
+from repro.bench import run_fig11, run_fig13
 from repro.core.scheduler import WorkloadScheduler
 from repro.faults.plan import seeded_plan
 from repro.metrics import IMPL_PREFIX, MetricRegistry
+from repro.metrics.diff import flatten_manifest
+from repro.metrics.manifest import build_manifest
 from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.workload import QueryWorkload, Regime, TrafficSpec, synthetic_workload
 from repro.telemetry import Telemetry
@@ -311,3 +323,88 @@ class TestDecisionMemo:
         refilled = scheduler.decide_memo("deeplob", now + 2_000, deadlines, 30.0)
         assert refilled == first
         assert scheduler.memo_stats["misses"] == 2
+
+
+class TestFigureGrids:
+    def test_fig11_and_fig13_match_reference_loop(self, monkeypatch):
+        # The grids run inline at jobs=1, so patching the runner's
+        # Backtester swaps the pump for every run of both figures.
+        def grids():
+            return (
+                run_fig11(duration_s=2.0, jobs=1),
+                run_fig13(duration_s=2.0, counts=(1, 2), jobs=1),
+            )
+
+        shipping = grids()
+        monkeypatch.setattr(repro.bench.runner, "Backtester", ReferenceBacktester)
+        reference = grids()
+        for fast, ref in zip(shipping, reference):
+            assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
+
+
+BASELINE_MANIFEST = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks"
+    / "results"
+    / "run_manifest_baseline.json"
+)
+
+# The canonical run's work counts, each at its count when set, so any
+# growth in work fails; raising one means re-pinning it with a reason.
+# The reference loop reads 1,935 sweeps, 2,902 redistribute calls and
+# 4,589 pushes on the same run.
+WORK_CEILINGS = {
+    "impl.sweeps": 304,
+    "impl.memo.misses": 8,
+    "impl.dvfs.redistribute_calls": 1_655,
+    "impl.events.pushed": 3_573,
+}
+
+
+class TestCanonicalRun:
+    @pytest.fixture(scope="class")
+    def manifest(self):
+        duration_s, seed = 6.0, 1
+        workload = synthetic_workload(duration_s, seed=seed, name="manifest")
+        config = SimConfig(
+            model="deeplob",
+            n_accelerators=2,
+            workload_scheduling=True,
+            dvfs_scheduling=True,
+            power_condition="limited",
+        )
+        registry = MetricRegistry()
+        result = Backtester(
+            workload, lighttrader_profile(), config, metrics=registry
+        ).run()
+        return build_manifest(
+            run={
+                "system": "lighttrader[ws+ds]",
+                "profile": "lighttrader",
+                "scheme": "ws+ds",
+                "model": config.model,
+                "workload": workload.name,
+                "workload_ticks": len(workload),
+                "duration_s": duration_s,
+            },
+            registry=registry,
+            config=dataclasses.asdict(config),
+            result=result,
+            seeds={"workload": seed},
+        )
+
+    def test_manifest_matches_committed_baseline(self, manifest):
+        baseline = json.loads(BASELINE_MANIFEST.read_text())
+        for section in ("schema", "run", "config", "seeds"):
+            assert manifest[section] == baseline[section]
+        baseline_flat = {
+            path: value
+            for path, value in flatten_manifest(baseline).items()
+            if not path.startswith("perf:")
+        }
+        assert flatten_manifest(manifest) == baseline_flat
+
+    @pytest.mark.parametrize("counter", sorted(WORK_CEILINGS))
+    def test_work_count_ceiling(self, manifest, counter):
+        count = manifest["metrics"]["counters"][counter]
+        assert count <= WORK_CEILINGS[counter], (counter, count)

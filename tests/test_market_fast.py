@@ -4,10 +4,11 @@ The contract under test: the generation loop (agents send plain-int ops
 to the live book's :class:`~repro.lob.array_matching.MatchingKernel`)
 must produce **byte-identical** tick tapes to the per-op reference loop
 in ``tests/oracles/market.py``, on either book engine, for any seed —
-plus pinned tape digests, the RNG-stream equivalences that identity
-rests on, per-op atomicity (a raising agent op leaves the book as the
-previous op left it), metric-registry parity, and the campaign's
-book-integrity probe generating its tape twice.
+plus pinned tape digests, one pinned 6 s session's book metrics, the
+RNG-stream equivalences that identity rests on, per-op atomicity (a
+raising agent op leaves the book as the previous op left it),
+metric-registry parity, and the campaign's book-integrity probe
+generating its tape twice.
 """
 
 from __future__ import annotations
@@ -180,6 +181,48 @@ def test_metric_registry_parity():
         snapshots.append(registry.public_snapshot())
     assert snapshots[0] == snapshots[1] == snapshots[2]
     assert snapshots[0]["counters"]["lob.orders"] > 0
+
+
+# ---------------------------------------------------------------------------
+# one pinned session's tape fold and book metrics
+# ---------------------------------------------------------------------------
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def fold_tape(tape) -> int:
+    """Order-sensitive FNV fold of every snapshot checksum in ``tape``."""
+    digest = _FNV_OFFSET
+    for tick in tape:
+        value = tick.snapshot.checksum()
+        for _ in range(8):
+            digest = ((digest ^ (value & 0xFF)) * _FNV_PRIME) & _U64
+            value >>= 8
+    return digest
+
+
+def test_pinned_session_metrics():
+    # Seed 3, 6 s: the tick count, the snapshot fold and the book's
+    # metrics are literals, so any change in what generation does fails.
+    registry = MetricRegistry()
+    tape = MarketSimulator(MarketConfig(), seed=3, metrics=registry).generate(6.0)
+    assert len(tape) == 2_140
+    assert f"{fold_tape(tape):016x}" == "3868b340c8de5a20"
+    assert registry.public_snapshot() == {
+        "counters": {
+            "lob.cancels": 802,
+            "lob.fills": 1_062,
+            "lob.orders": 2_164,
+            "lob.replaces": 0,
+        },
+        "gauges": {
+            "lob.levels_high_water": {"value": 22, "max": 24},
+            "lob.slab_occupancy_high_water": {"value": 83, "max": 91},
+        },
+        "histograms": {},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import tracemalloc
 from repro.baselines import lighttrader_profile
 from repro.metrics import NULL_METRICS, MetricRegistry
 from repro.sim.backtest import Backtester, SimConfig
-from repro.sim.workload_cache import cached_synthetic_workload
+from repro.sim.workload import synthetic_workload
 
 _CONFIG = dict(
     model="deeplob",
@@ -23,17 +23,18 @@ _CONFIG = dict(
     workload_scheduling=True,
     dvfs_scheduling=True,
 )
+# Every run here replays one workload; QueryWorkload is immutable.
+_WORKLOAD = synthetic_workload(2.0, seed=4, name="overhead")
 
 
 def _run(metrics):
     profile = lighttrader_profile()
-    workload = cached_synthetic_workload(2.0, seed=4, name="overhead")
-    Backtester(workload, profile, SimConfig(**_CONFIG), metrics=metrics).run()
+    Backtester(_WORKLOAD, profile, SimConfig(**_CONFIG), metrics=metrics).run()
 
 
 def _metrics_bytes(metrics):
-    # Warm every lazy cache (anchor calibration, sweep grids, workload
-    # cache) so the traced window sees only steady-state work.
+    # Warm every lazy cache (anchor calibration, sweep grids) so the
+    # traced window sees only steady-state work.
     _run(MetricRegistry(enabled=False))
     metrics_filter = tracemalloc.Filter(True, "*/repro/metrics/*")
     tracemalloc.start(10)
@@ -67,10 +68,9 @@ def test_enabled_metrics_stay_allocation_flat():
     registry = MetricRegistry()
     _run(registry)  # create every instrument once
     allocated, stats = _metrics_bytes(registry)
-    workload = cached_synthetic_workload(2.0, seed=4, name="overhead")
     budget = 2048
     assert allocated < budget, (
         f"repro.metrics allocated {allocated} bytes across "
-        f"{len(workload)} queries (budget {budget}): "
+        f"{len(_WORKLOAD)} queries (budget {budget}): "
         f"{[str(s) for s in stats]}"
     )

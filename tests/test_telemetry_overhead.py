@@ -11,7 +11,7 @@ import tracemalloc
 
 from repro.baselines import lighttrader_profile
 from repro.sim.backtest import Backtester, SimConfig
-from repro.sim.workload_cache import cached_synthetic_workload
+from repro.sim.workload import synthetic_workload
 from repro.telemetry.registry import NULL_REGISTRY, Registry
 
 
@@ -38,7 +38,7 @@ def test_null_instrument_api_is_inert():
 
 def test_untraced_backtest_allocates_nothing_in_telemetry():
     profile = lighttrader_profile()
-    workload = cached_synthetic_workload(2.0, seed=4, name="overhead")
+    workload = synthetic_workload(2.0, seed=4, name="overhead")
     config = SimConfig(
         model="deeplob",
         n_accelerators=2,
